@@ -25,8 +25,8 @@ from .config import load_config, load_sweep
 from .errors import ConfigError, PrimeTimeError
 from .graph import Topology, diameter
 from .protocol import Variant
-from .sim import (SimConfig, TopologySpec, run, summary_text, write_summary,
-                  write_trace_csv)
+from .sim import (RunResult, SimConfig, TopologySpec, run, summary_text,
+                  write_summary, write_trace_csv)
 
 DEMO_EDGES = ((1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (2, 7), (5, 7))
 DEMO_VALUES = (2, 1, 4, 3, 4, 2, 2)

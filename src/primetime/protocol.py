@@ -11,13 +11,24 @@ Departure is signalled by raising the leaver's own prime to the sentinel
 exponent M + 1, one past the data range [1, M].  Receivers drop the pair and
 relay the sentinel exactly once, so the goodbye floods outward while late
 copies of the departed pair are discarded.
+
+The state kept beside the table makes each round cost only what is new.  The
+running `product` is the table's encoding, multiplied on insert and divided
+on a goodbye, so the full variant sends it as is; `unsent` holds the pairs
+learned since the last transmission, which is the incremental message.  A
+reception first strips what the receiver already holds: g = gcd(message,
+product) is the shared part, and unless a stored prime arrives with a
+smaller exponent, only the cofactor message // g is decoded.  A cofactor
+naming only unknown primes is merged as is; every other message is decoded
+whole, as the reference codec would.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import gcd
 
-from .errors import ProtocolError
+from .errors import CodecError, ProtocolError
 from .primes import PrimeRegistry, decode, encode, smallest_unused_prime
 
 
@@ -30,11 +41,13 @@ class Variant(str, enum.Enum):
 class AgentState:
     """One agent's protocol state.
 
-    `table` maps prime -> value and never stores the sentinel; `prev_table`
-    is the snapshot taken at the last transmission, from which the
-    incremental variant forms its diff.  `goodbye_relay` holds primes whose
-    sentinel goes out with the next message, exactly once; `departed` keeps
-    every prime ever removed so late data and duplicate goodbyes are ignored.
+    `table` maps prime -> value and never stores the sentinel.  `product`
+    always equals the encoding of `table`, and `unsent` holds the pairs
+    inserted since the last transmission (at first, the initial table); both
+    are kept in step by `receive_message`, so the table must change only
+    through it.  `goodbye_relay` holds primes whose sentinel goes out with
+    the next message, exactly once; `departed` keeps every prime ever removed
+    so late data and duplicate goodbyes are ignored.
     """
 
     agent_id: int
@@ -43,7 +56,8 @@ class AgentState:
     variant: Variant
     max_value: int
     table: dict[int, int] = field(default_factory=dict)
-    prev_table: dict[int, int] = field(default_factory=dict)
+    product: int = field(init=False)
+    unsent: dict[int, int] = field(init=False)
     goodbye_relay: set[int] = field(default_factory=set)
     departed: set[int] = field(default_factory=set)
     active: bool = True
@@ -54,6 +68,8 @@ class AgentState:
                 f"agent {self.agent_id}: value {self.own_value} outside [1, {self.max_value}]"
             )
         self.table.setdefault(self.own_prime, self.own_value)
+        self.product = encode(self.table.items(), max_exponent=self.max_value)
+        self.unsent = dict(self.table)
 
     @property
     def sentinel(self) -> int:
@@ -70,24 +86,53 @@ def make_agent(agent_id: int, prime: int, value: int, variant: Variant,
 def form_message(state: AgentState) -> int:
     """Build this round's outgoing message and roll the transmission state.
 
-    The full variant sends the whole table; the incremental variant sends
-    only pairs absent from the previous snapshot.  Pending goodbye sentinels
-    ride along as (prime, M + 1) pairs.  Afterwards the snapshot catches up
-    to the table and the relay set empties, so each sentinel and each
-    incremental pair goes out exactly once.  Returns 1 when there is
-    nothing to send.
+    The full variant sends the whole table (its running product); the
+    incremental variant sends only the pairs learned since its previous
+    transmission.  Pending goodbye sentinels ride along as (prime, M + 1)
+    pairs.  Afterwards the unsent log and the relay set empty, so each
+    sentinel and each incremental pair goes out exactly once.  Returns 1
+    when there is nothing to send.
     """
     if not state.active:
         raise ProtocolError(f"agent {state.agent_id} already departed")
     if state.variant is Variant.PRIMETIME:
-        base = dict(state.table)
+        message = state.product
     else:
-        base = {p: x for p, x in state.table.items() if p not in state.prev_table}
-    pairs = list(base.items()) + [(p, state.sentinel) for p in sorted(state.goodbye_relay)]
-    message = encode(pairs, max_exponent=state.sentinel)
-    state.prev_table = dict(state.table)
-    state.goodbye_relay = set()
+        message = encode(state.unsent.items(), max_exponent=state.max_value)
+    if state.goodbye_relay:
+        goodbyes = [(p, state.sentinel) for p in sorted(state.goodbye_relay)]
+        message *= encode(goodbyes, max_exponent=state.sentinel)
+        state.goodbye_relay = set()
+    state.unsent = {}
     return message
+
+
+def _news(state: AgentState, message: int, max_exponent: int) -> dict[int, int] | None:
+    """Pairs of `message` for primes absent from the table, or None when the
+    message must be decoded whole.
+
+    g = gcd(message, product) holds every stored prime at the smaller of its
+    two exponents.  If product // g shares no prime with g, no stored prime
+    arrives with a smaller exponent, and the cofactor message // g holds the
+    rest.  When the cofactor names no stored prime, every stored prime in
+    the message matches the table exactly, a no-op, so the cofactor's pairs
+    are all the news.  A stored prime in the cofactor (a conflict or a
+    goodbye) or a codec error falls back to the whole message, so errors
+    read exactly as the reference decode reports them.
+    """
+    g = gcd(message, state.product)
+    if gcd(state.product // g, g) != 1:
+        return None
+    cofactor = message // g
+    if cofactor == 1:
+        return {}
+    try:
+        pairs = decode(cofactor, max_exponent=max_exponent)
+    except CodecError:
+        return None
+    if any(p in state.table for p in pairs):
+        return None
+    return pairs
 
 
 def receive_message(state: AgentState, message: int) -> list[str]:
@@ -99,28 +144,36 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     message stacks its own datum on top of the sentinel, so the combined
     exponent can exceed M+1): the pair is dropped and the sentinel queued
     for exactly one relay.  Data for already-departed primes is discarded.
+    A rejected message (conflict or codec error) changes nothing.
 
     Returns human-readable anomaly notes for the conditions the protocol
     tolerates but cannot explain (goodbye for a prime never stored, goodbye
     naming the receiver itself).
     """
-    if not state.active:
+    if not state.active or message == 1:  # 1 is most incremental traffic
         return []
     # A datum x <= M stacked on a sentinel M+1 yields at most 2M+1.
-    pairs = decode(message, max_exponent=2 * state.max_value + 1)
-    anomalies: list[str] = []
-    for prime in sorted(pairs):
+    max_exponent = 2 * state.max_value + 1
+    pairs = _news(state, message, max_exponent)
+    if pairs is None:
+        pairs = decode(message, max_exponent=max_exponent)
+    primes = sorted(pairs)
+    for prime in primes:
         exponent = pairs[prime]
-        if exponent <= state.max_value:
-            if prime in state.departed:
-                continue
+        if exponent <= state.max_value and prime not in state.departed:
             stored = state.table.get(prime)
-            if stored is None:
-                state.table[prime] = exponent
-            elif stored != exponent:
+            if stored is not None and stored != exponent:
                 raise ProtocolError(
                     f"conflicting value for prime {prime}: stored {stored}, received {exponent}"
                 )
+    anomalies: list[str] = []
+    gained = lost = 1
+    for prime in primes:
+        exponent = pairs[prime]
+        if exponent <= state.max_value:
+            if prime not in state.departed and prime not in state.table:
+                state.table[prime] = state.unsent[prime] = exponent
+                gained *= prime**exponent
         else:
             if prime == state.own_prime:
                 anomalies.append(f"goodbye for own prime {prime} ignored")
@@ -128,12 +181,16 @@ def receive_message(state: AgentState, message: int) -> list[str]:
             if prime in state.departed:
                 continue
             if prime in state.table:
-                del state.table[prime]
-                state.prev_table.pop(prime, None)
+                lost *= prime**state.table.pop(prime)
+                state.unsent.pop(prime, None)
             else:
                 anomalies.append(f"goodbye for unknown prime {prime}")
             state.departed.add(prime)
             state.goodbye_relay.add(prime)
+    if gained > 1:
+        state.product *= gained
+    if lost > 1:
+        state.product //= lost
     return anomalies
 
 

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import typing
 
 import pytest
 
+from primetime import cli
 from primetime.cli import DEMO_MAX_VALUE, DEMO_VALUES, demo, main
 from primetime.primes import encode, first_primes
+from primetime.sim import RunResult
 
 
 BASIC = """
@@ -250,3 +253,7 @@ def test_demo_output_structure():
 def test_demo_command_exit_code(capsys):
     assert main(["demo"]) == 0
     assert "demo graph" in capsys.readouterr().out
+
+
+def test_cli_annotations_resolve():
+    assert typing.get_type_hints(cli._finish)["result"] is RunResult

@@ -26,7 +26,7 @@ def test_incremental_goes_quiet_without_news():
 
 def test_primetime_repeats_whole_table():
     agent = fresh(Variant.PRIMETIME, prime=2, value=1)
-    agent.table[3] = 2
+    receive_message(agent, 9)
     assert form_message(agent) == 18  # 2 * 9
     assert form_message(agent) == 18
 
@@ -119,7 +119,7 @@ def test_join_picks_smallest_unused_prime():
                  variant=Variant.PRIMETIME, max_value=4)
     assert state.own_prime == 11
     assert state.table == {11: 2}
-    assert state.prev_table == {}
+    assert state.unsent == {11: 2}
 
 
 def test_join_fills_gaps():
