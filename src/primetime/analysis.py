@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from . import graph as graphmod
 from .primes import bit_length, decode, encode, first_primes
 from .protocol import Variant
-from .sim import RunResult
+from .sim import RunResult, SimConfig
 
 
 def ceil_log2(x: int) -> int:
@@ -56,16 +56,17 @@ class CheckVerdict:
                 "detail": self.detail, "counterexample": self.counterexample}
 
 
-def _require_closed_lossless(result: RunResult, check: str) -> None:
-    cfg = result.config
+def require_closed_lossless(cfg: SimConfig, check: str) -> None:
+    """Raise ValueError unless `cfg` has no loss, no forced drops and no churn."""
     if cfg.loss_q != 0 or cfg.drop_schedule or cfg.events:
-        raise ValueError(f"{check} requires a loss-free closed-graph run")
+        raise ValueError(f"{check} requires a loss-free closed-graph run "
+                         "(no loss, forced drops or events)")
 
 
 def check_diameter_completion(result: RunResult) -> CheckVerdict:
     """Completion must land exactly on the diameter: complete at d, and for
     d >= 1 at least one table still incomplete at d - 1."""
-    _require_closed_lossless(result, "check_diameter_completion")
+    require_closed_lossless(result.config, "check_diameter_completion")
     d = result.diameter
     observed = result.completion_round
     if observed != d:
@@ -74,17 +75,12 @@ def check_diameter_completion(result: RunResult) -> CheckVerdict:
             detail=f"completion_round {observed} != diameter {d}",
             counterexample={"completion_round": observed, "diameter": d},
         )
-    if d >= 1:
-        prior = result.traces[d - 1]
-        required = set(prior.active_pairs.values())
-        incomplete = [i for i in prior.active_pairs
-                      if not required <= set(prior.tables[i].items())]
-        if not incomplete:
-            return CheckVerdict(
-                "diameter_completion", False,
-                detail=f"all tables already complete at round {d - 1}",
-                counterexample={"round": d - 1},
-            )
+    if d >= 1 and result.traces[d - 1].complete():
+        return CheckVerdict(
+            "diameter_completion", False,
+            detail=f"all tables already complete at round {d - 1}",
+            counterexample={"round": d - 1},
+        )
     return CheckVerdict("diameter_completion", True, detail=f"complete at d={d}, incomplete before")
 
 
@@ -92,17 +88,18 @@ def check_hop_equations(result: RunResult) -> CheckVerdict:
     """Every recorded message must equal the hop-set product from the BFS
     oracle: inclusive sets for the full variant, exclusive for incremental
     (whose sets empty out past each node's eccentricity, giving message 1)."""
-    _require_closed_lossless(result, "check_hop_equations")
+    require_closed_lossless(result.config, "check_hop_equations")
     topology = result.initial_topology
     pair_of = {i: (result.agent_primes[i], result.agent_values[i])
                for i in topology.nodes}
     incremental = result.config.variant is Variant.INCREMENTAL
+    distances = {i: graphmod.bfs_distances(topology, i) for i in topology.nodes}
     for trace in result.traces:
         k = trace.round_index
         for agent, message in trace.messages.items():
-            inclusive, exclusive = graphmod.hop_sets(topology, agent, k)
-            members = exclusive if incremental else inclusive
-            expected = encode((pair_of[j] for j in sorted(members)),
+            members = sorted(j for j, d in distances[agent].items()
+                             if (d == k if incremental else d <= k))
+            expected = encode((pair_of[j] for j in members),
                               max_exponent=result.config.max_value + 1)
             if message != expected:
                 return CheckVerdict(

@@ -20,13 +20,14 @@ import os
 import sys
 
 from .analysis import (check_hop_equations, check_diameter_completion,
-                       write_size_report_csv, write_verdicts_json)
+                       require_closed_lossless, write_size_report_csv,
+                       write_verdicts_json)
 from .config import load_config, load_sweep
 from .errors import ConfigError, PrimeTimeError
 from .graph import Topology, diameter
 from .protocol import Variant
-from .sim import (RunResult, SimConfig, TopologySpec, run, summary_text,
-                  write_summary, write_trace_csv)
+from .sim import (SimConfig, TopologySpec, run, summary_text, write_summary,
+                  write_trace_csv)
 
 DEMO_EDGES = ((1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (2, 7), (5, 7))
 DEMO_VALUES = (2, 1, 4, 3, 4, 2, 2)
@@ -41,25 +42,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="INI config file (see CONFIG.md)")
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override [sim] seed")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="INI config file (see CONFIG.md)")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override [sim] seed (for sweep, the [sweep] seeds)")
         p.add_argument("--variant", choices=[v.value for v in Variant], default=None,
-                       help="override [protocol] variant")
+                       help="override [protocol] variant (for sweep, the [sweep] variants)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 if the run logged any anomalies")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
         p.add_argument("--verbose", action="store_true")
 
     add_common(sub.add_parser("run", help="execute one simulation"))
     add_common(sub.add_parser("sweep", help="run the [sweep] grid of a config"))
     add_common(sub.add_parser("check", help="run and verify completion/message oracles"))
     add_common(sub.add_parser("compare-size", help="run and write the size report"))
-    demo = sub.add_parser("demo", help="print a round-by-round walkthrough")
-    add_common(demo, needs_config=False)
+    sub.add_parser("demo", help="print a round-by-round walkthrough")
     return parser
 
 
@@ -72,9 +70,9 @@ def _load(args) -> SimConfig:
     return cfg
 
 
-def _finish(result: RunResult, args) -> int:
-    if args.strict and result.anomaly_count > 0:
-        print(f"strict mode: {result.anomaly_count} anomalies logged", file=sys.stderr)
+def _finish(anomaly_count: int, args) -> int:
+    if args.strict and anomaly_count > 0:
+        print(f"strict mode: {anomaly_count} anomalies logged", file=sys.stderr)
         return 3
     return 0
 
@@ -86,7 +84,7 @@ def cmd_run(args) -> int:
     write_trace_csv(result, os.path.join(args.out, "trace.csv"))
     write_summary(result, os.path.join(args.out, "summary.txt"))
     sys.stdout.write(summary_text(result))
-    return _finish(result, args)
+    return _finish(result.anomaly_count, args)
 
 
 SWEEP_COLUMNS = ("n", "max_value", "q", "variant", "seed", "diameter", "rounds_run",
@@ -96,6 +94,8 @@ SWEEP_COLUMNS = ("n", "max_value", "q", "variant", "seed", "diameter", "rounds_r
 
 def cmd_sweep(args) -> int:
     base, grid = load_sweep(args.config)
+    if args.seed is not None:
+        grid = dataclasses.replace(grid, seeds=(args.seed,))
     if args.variant is not None:
         grid = dataclasses.replace(grid, variant=(Variant(args.variant),))
     os.makedirs(args.out, exist_ok=True)
@@ -125,18 +125,21 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
-    if args.strict and anomalies > 0:
-        print(f"strict mode: {anomalies} anomalies logged", file=sys.stderr)
-        return 3
-    return 0
+    completed: dict[tuple, list[int]] = {}
+    for row in rows:
+        completed.setdefault(row[:4], []).append(row[SWEEP_COLUMNS.index("completed")])
+    for (n, m, q, variant), flags in completed.items():
+        print(f"n={n} M={m} q={q} {variant}: {sum(flags)}/{len(flags)} completed "
+              f"(rate {sum(flags) / len(flags):.3f})")
+    return _finish(anomalies, args)
 
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    if cfg.loss_q != 0 or cfg.drop_schedule or cfg.events:
-        raise ConfigError(
-            "check: requires loss.mode = none and an empty event schedule"
-        )
+    try:
+        require_closed_lossless(cfg, "check")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     result = run(cfg)
     verdicts = [check_diameter_completion(result), check_hop_equations(result)]
@@ -145,7 +148,7 @@ def cmd_check(args) -> int:
         print(f"{v.check}: {'pass' if v.passed else 'FAIL'} ({v.detail})")
     if not all(v.passed for v in verdicts):
         return 1
-    return _finish(result, args)
+    return _finish(result.anomaly_count, args)
 
 
 def cmd_compare_size(args) -> int:
@@ -153,7 +156,7 @@ def cmd_compare_size(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     result = run(cfg)
     write_size_report_csv(result, os.path.join(args.out, "size_report.csv"))
-    return _finish(result, args)
+    return _finish(result.anomaly_count, args)
 
 
 def _format_pairs(pairs: dict[int, int]) -> str:

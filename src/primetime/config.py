@@ -148,7 +148,12 @@ def _parse_events(parser) -> tuple[Event, ...]:
 
 def load_config(path) -> SimConfig:
     """Parse an INI config file into a validated SimConfig."""
-    parser = _read(path)
+    return _parse(_read(path), path)
+
+
+def _parse(parser, path) -> SimConfig:
+    """Build a validated SimConfig from a read config; `path` anchors a
+    relative topology.edge_file."""
     base_dir = os.path.dirname(os.path.abspath(path))
     topology = _parse_topology(parser, base_dir)
     variant = _parse_variant(parser.get("protocol", "variant", fallback="primetime"),
@@ -226,8 +231,8 @@ def _int_list(raw: str, field: str) -> tuple[int, ...]:
 def load_sweep(path) -> tuple[SimConfig, SweepGrid]:
     """Parse a config carrying a [sweep] section; the rest of the file is
     the base config each grid point overrides."""
-    base = load_config(path)
     parser = _read(path)
+    base = _parse(parser, path)
     if not parser.has_section("sweep"):
         _fail("sweep", "section required for the sweep command")
     if base.topology.family is None:

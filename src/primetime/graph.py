@@ -55,10 +55,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        self._check_node(node)
-        return self.adjacency[node]
-
     def is_connected(self) -> bool:
         if len(self.nodes) <= 1:
             return True

@@ -168,6 +168,3 @@ class PrimeRegistry:
 
     def release(self, agent_id: int) -> None:
         self.assignments.pop(agent_id, None)
-
-    def prime_of(self, agent_id: int) -> int:
-        return self.assignments[agent_id]

@@ -117,6 +117,12 @@ class RoundTrace:
         """Messages delivered to `receiver` this round, keyed by sender."""
         return {s: self.messages[s] for s, r in self.delivered if r == receiver}
 
+    def complete(self) -> bool:
+        """The completion predicate: every present snapshot table holds
+        every active agent's pair."""
+        required = set(self.active_pairs.values())
+        return all(table.items() >= required for table in self.tables.values())
+
 
 @dataclass
 class RunResult:
@@ -149,13 +155,8 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
 
 
 def completion_round(traces: list[RoundTrace]) -> int | None:
-    """First round whose snapshot shows every active table holding every
-    active agent's pair; None if never observed."""
-    for trace in traces:
-        required = set(trace.active_pairs.values())
-        if all(required <= set(trace.tables[i].items()) for i in trace.active_pairs):
-            return trace.round_index
-    return None
+    """First round whose snapshot is complete; None if never observed."""
+    return next((t.round_index for t in traces if t.complete()), None)
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -164,8 +165,9 @@ def run(cfg: SimConfig) -> RunResult:
     Per round: apply scheduled churn, snapshot tables, form messages (a
     leaver's goodbye replaces its normal transmission), deliver subject to
     loss, merge receptions, then retire the leaver from the topology.  The
-    run stops `extra_rounds` after the completion predicate first holds
-    with no churn left in flight, or at max_rounds.
+    run settles at the first round s >= 1 past the last event whose
+    snapshot is complete with no goodbye relay pending; it stops after
+    round s + extra_rounds - 1, or at max_rounds.
     """
     cfg.validate()
     topology = cfg.topology.build(cfg.seed)
@@ -198,13 +200,14 @@ def run(cfg: SimConfig) -> RunResult:
         agent_values[node] = value
 
     events_by_round = {e.round_index: e for e in cfg.events}
-    last_event_round = max(events_by_round, default=-1)
+    last_event_round = max(events_by_round, default=0)
     forced_drops: dict[int, set[tuple[int, int]]] = {}
     for r, src, dst in cfg.drop_schedule:
         forced_drops.setdefault(r, set()).add((src, dst))
 
     traces: list[RoundTrace] = []
-    countdown: int | None = None
+    completion: int | None = None
+    last_round: int | None = None
 
     for k in range(max_rounds):
         anomalies: list[str] = []
@@ -227,6 +230,7 @@ def run(cfg: SimConfig) -> RunResult:
         present = [n for n in topology.nodes if agents[n].active]
         tables = {i: dict(agents[i].table) for i in present}
         active_pairs = {i: (agents[i].own_prime, agents[i].own_value) for i in present}
+        relaying = any(agents[i].goodbye_relay for i in present)
 
         messages: dict[int, int] = {}
         for i in present:
@@ -268,7 +272,7 @@ def run(cfg: SimConfig) -> RunResult:
                     f"round {k}: leave of agent {leaving} disconnected the graph"
                 )
 
-        traces.append(RoundTrace(
+        trace = RoundTrace(
             round_index=k,
             tables=tables,
             active_pairs=active_pairs,
@@ -277,21 +281,18 @@ def run(cfg: SimConfig) -> RunResult:
             delivered=delivered,
             dropped=dropped,
             anomalies=anomalies,
-        ))
-
-        active_now = [n for n in topology.nodes if agents[n].active]
-        required = {(agents[n].own_prime, agents[n].own_value) for n in active_now}
-        settled = (
-            all(required <= set(agents[n].table.items()) for n in active_now)
-            and k >= last_event_round
-            and not any(agents[n].goodbye_relay for n in active_now)
         )
-        if settled:
-            countdown = cfg.extra_rounds if countdown is None else countdown - 1
-            if countdown == 0:
-                break
-        else:
-            countdown = None
+        traces.append(trace)
+
+        # Once settled, a run stays settled: after the last event no new
+        # sentinel can start, and only sentinels take pairs out of a table.
+        if last_round is None and trace.complete():
+            if completion is None:
+                completion = k
+            if k > last_event_round and not relaying:
+                last_round = k + cfg.extra_rounds - 1
+        if k == last_round:
+            break
 
     all_bits = [b for t in traces for b in t.message_bits.values()]
     return RunResult(
@@ -302,7 +303,7 @@ def run(cfg: SimConfig) -> RunResult:
         agent_primes=agent_primes,
         agent_values=agent_values,
         diameter=diam,
-        completion_round=completion_round(traces),
+        completion_round=completion,
         peak_message_bits=max(all_bits, default=0),
         total_bits_transmitted=sum(all_bits),
     )

@@ -1,14 +1,16 @@
 import csv
+import inspect
 import io
 import json
+import pathlib
+import shlex
 import typing
 
 import pytest
 
 from primetime import cli
-from primetime.cli import DEMO_MAX_VALUE, DEMO_VALUES, demo, main
+from primetime.cli import DEMO_MAX_VALUE, DEMO_VALUES, build_parser, demo, main
 from primetime.primes import encode, first_primes
-from primetime.sim import RunResult
 
 
 BASIC = """
@@ -60,6 +62,25 @@ def test_unknown_flag_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "--seed", "1"],
+    ["run", "--config", "x", "--out", "y", "--format", "csv"],
+])
+def test_removed_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("primetime ")]
+    assert {argv[0] for argv in commands} == {"run", "sweep", "check", "compare-size", "demo"}
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
 def test_seed_and_variant_overrides(tmp_path):
     cfg = write_config(tmp_path, """
 [topology]
@@ -90,8 +111,14 @@ def test_check_command_passes(tmp_path, capsys):
 
 
 def test_check_rejects_lossy_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASIC + "\n[loss]\nmode = bernoulli\nq = 0.5\n")
-    assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    for name, extra in (("loss", "[loss]\nmode = bernoulli\nq = 0.5\n"),
+                        ("drops", "[loss]\ndrops = 1:1>2\n"),
+                        ("events", "[events]\nschedule =\n    9 leave 4\n")):
+        cfg = write_config(tmp_path, BASIC + "\n" + extra, name=f"{name}.ini")
+        out = tmp_path / name
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+        assert "loss-free" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_size_writes_report(tmp_path):
@@ -117,6 +144,21 @@ seeds = 0 1
     rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
     assert len(rows) == 2
     assert rows[0]["completion_round"] == rows[1]["completion_round"] == "4"
+
+
+def test_sweep_seed_flag_overrides_grid_seeds(tmp_path):
+    cfg = write_config(tmp_path, """
+[topology]
+family = path
+n = 4
+
+[sweep]
+seeds = 0 1
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    assert [r["seed"] for r in rows] == ["7"]
 
 
 def test_sweep_variant_columns(tmp_path):
@@ -146,6 +188,31 @@ seeds = 0..4
     keys = [(int(r["n"]), int(r["max_value"]), float(r["q"]), r["variant"], int(r["seed"]))
             for r in rows]
     assert keys == sorted(keys)
+
+
+def test_sweep_prints_completion_rate_per_grid_cell(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[topology]
+family = path
+n = 4
+
+[loss]
+drops = 1:2>3 1:3>4
+
+[sweep]
+variant = primetime incremental
+n = 4 5
+seeds = 0..2
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    # a lost relay starves the incremental variant for good, never the full one
+    assert capsys.readouterr().out.splitlines() == [
+        "n=4 M=4 q=0.0 incremental: 0/3 completed (rate 0.000)",
+        "n=4 M=4 q=0.0 primetime: 3/3 completed (rate 1.000)",
+        "n=5 M=4 q=0.0 incremental: 0/3 completed (rate 0.000)",
+        "n=5 M=4 q=0.0 primetime: 3/3 completed (rate 1.000)",
+    ]
 
 
 def test_sweep_records_per_point_failures_and_continues(tmp_path):
@@ -256,4 +323,8 @@ def test_demo_command_exit_code(capsys):
 
 
 def test_cli_annotations_resolve():
-    assert typing.get_type_hints(cli._finish)["result"] is RunResult
+    functions = [f for f in vars(cli).values()
+                 if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert cli._finish in functions
+    for function in functions:
+        typing.get_type_hints(function)

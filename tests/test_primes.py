@@ -143,4 +143,4 @@ def test_registry_join_assignment_and_release():
         reg.assign(10, 11)
     reg.release(9)
     reg.assign(10, 11)  # released primes may be reused
-    assert reg.prime_of(10) == 11
+    assert reg.assignments[10] == 11

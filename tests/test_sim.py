@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
-from primetime.errors import ConfigError
+from primetime.errors import ConfigError, ProtocolError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
 from primetime.protocol import Variant
 from primetime.sim import (JoinEvent, LeaveEvent, SimConfig, TopologySpec,
@@ -206,3 +208,67 @@ def test_explicit_values_validated():
         run(config(data_values=(1, 2)))
     with pytest.raises(ConfigError, match="data_values"):
         run(config(data_values=(1, 2, 9)))
+
+
+@pytest.mark.parametrize("cfg, expected", [
+    # a 1-node graph is complete at round 0, but the run settles no earlier than round 1
+    (config(topology=TopologySpec(family="path", n=1)), (4, 0)),
+    (config(topology=TopologySpec(family="path", n=4), extra_rounds=1), (4, 3)),
+    (config(topology=TopologySpec(family="cycle", n=6),
+            events=(JoinEvent(4, 7, (1,), 2), LeaveEvent(12, 3))), (19, 3)),
+    (config(topology=TopologySpec(family="path", n=1),
+            events=(JoinEvent(0, 2, (1,), 2),)), (4, 1)),
+    (config(variant=Variant.INCREMENTAL, loss_q=0.2, drop_schedule=((1, 2, 3),),
+            max_rounds=25), (25, None)),
+], ids=["single_node", "extra_rounds_1", "leave_on_last_event_round", "join_at_round_0",
+        "starved_to_max_rounds"])
+def test_stop_rule_pins_rounds_run_and_completion(cfg, expected):
+    result = run(cfg)
+    assert (len(result.traces), result.completion_round) == expected
+
+
+def first_complete_round(traces):
+    """The completion predicate read directly: every active table, as a set
+    of pairs, contains the set of active pairs."""
+    for trace in traces:
+        required = set(trace.active_pairs.values())
+        if all(required <= set(trace.tables[i].items()) for i in trace.active_pairs):
+            return trace.round_index
+    return None
+
+
+@st.composite
+def small_configs(draw):
+    family, n = draw(st.sampled_from([("path", 1), ("path", 4), ("cycle", 5),
+                                      ("star", 5), ("complete", 4), ("path", 6)]))
+    topology = generate(family, n)
+    directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
+    drops = draw(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(directed)),
+                          max_size=4)) if directed else []
+    events = []
+    join_round = draw(st.none() | st.integers(0, 10))
+    attach = draw(st.lists(st.sampled_from(topology.nodes), min_size=1, max_size=2,
+                           unique=True))
+    if join_round is not None:
+        events.append(JoinEvent(join_round, n + 1, tuple(attach), draw(st.integers(1, 4))))
+    leavers = [v for v in topology.nodes if v not in attach]
+    # a leave after any join, so the joiner's attach nodes are still connected
+    leave_round = draw(st.none() | st.integers(0 if join_round is None else join_round + 1, 12))
+    if leavers and leave_round is not None:
+        events.append(LeaveEvent(leave_round, draw(st.sampled_from(leavers))))
+    return config(topology=TopologySpec(family=family, n=n),
+                  variant=draw(st.sampled_from(list(Variant))),
+                  loss_q=draw(st.sampled_from([0.0, 0.2, 0.5])),
+                  drop_schedule=tuple((r, u, v) for r, (u, v) in drops),
+                  events=tuple(events), max_rounds=30,
+                  extra_rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+def test_completion_round_matches_set_predicate(cfg):
+    try:
+        result = run(cfg)
+    except ProtocolError:
+        assume(False)  # a join off steady state can collide with an assigned prime
+    assert result.completion_round == first_complete_round(result.traces)
