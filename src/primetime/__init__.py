@@ -12,7 +12,7 @@ and sentinel-exponent goodbyes.
 from .errors import (CodecError, ConfigError, GraphError, PrimeCapError,
                      PrimeTimeError, ProtocolError)
 from .graph import Topology, bfs_distances, diameter, eccentricity, generate, hop_sets
-from .primes import PrimeRegistry, bit_length, decode, encode, nth_prime
+from .primes import bit_length, decode, encode, nth_prime
 from .protocol import AgentState, Variant, form_message, join, leave, receive_message
 from .sim import (JoinEvent, LeaveEvent, RoundTrace, RunResult, SimConfig,
                   TopologySpec, apply_loss, completion_round, run)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentState", "CodecError", "ConfigError", "GraphError", "JoinEvent",
-    "LeaveEvent", "PrimeCapError", "PrimeRegistry", "PrimeTimeError",
+    "LeaveEvent", "PrimeCapError", "PrimeTimeError",
     "ProtocolError", "RoundTrace", "RunResult", "SimConfig", "Topology",
     "TopologySpec", "Variant", "apply_loss", "bfs_distances", "bit_length",
     "completion_round", "decode", "diameter", "eccentricity", "encode",

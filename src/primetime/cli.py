@@ -51,10 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override [protocol] variant (for sweep, the [sweep] variants)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 if the run logged any anomalies")
-        p.add_argument("--verbose", action="store_true")
 
     add_common(sub.add_parser("run", help="execute one simulation"))
-    add_common(sub.add_parser("sweep", help="run the [sweep] grid of a config"))
+    sweep = sub.add_parser("sweep", help="run the [sweep] grid of a config")
+    add_common(sweep)
+    sweep.add_argument("--verbose", action="store_true",
+                       help="print each grid point's completion round")
     add_common(sub.add_parser("check", help="run and verify completion/message oracles"))
     add_common(sub.add_parser("compare-size", help="run and write the size report"))
     sub.add_parser("demo", help="print a round-by-round walkthrough")

@@ -20,8 +20,9 @@ class Topology:
     """Immutable undirected graph over integer node ids.
 
     No self-loops, no duplicate edges.  Connectivity is validated at
-    construction unless `require_connected=False` (used only for the
-    post-leave warning path in the simulator).
+    construction unless `require_connected=False` (used by churn, which
+    logs a disconnecting leave as an anomaly, and by the random generator's
+    redraw loop).
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
@@ -67,7 +68,9 @@ class Topology:
         if not attach:
             raise GraphError(f"node {node} must attach with at least one edge")
         new_edges = set(self.edges) | {(min(node, a), max(node, a)) for a in attach}
-        return Topology(self.nodes + (node,), new_edges)
+        # Adding a node and its edges disconnects nothing; a split left by an
+        # earlier leave was logged when it happened.
+        return Topology(self.nodes + (node,), new_edges, require_connected=False)
 
     def without_node(self, node: int) -> "Topology":
         self._check_node(node)

@@ -1,4 +1,4 @@
-"""Prime generation, the agent-to-prime registry, and the integer message codec.
+"""Prime generation and the integer message codec.
 
 A message is a single unbounded non-negative integer: the product of each
 known identifier prime raised to its datum.  ``encode``/``decode`` are exact
@@ -6,16 +6,15 @@ inverses on valid pair sets; 1 encodes the empty set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Iterable
 
-from .errors import CodecError, PrimeCapError, ProtocolError
+from .errors import CodecError, PrimeCapError
 
 # Primes are searched through the ordered sequence p_1 = 2, p_2 = 3, ...
 # The cap is an index into that sequence and bounds every search so that a
 # corrupted message cannot send the factorizer off to infinity.
-DEFAULT_PRIME_CAP = 10_000
+PRIME_CAP = 10_000
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
@@ -33,16 +32,16 @@ def _extend_primes(count: int) -> None:
                 break
 
 
-def nth_prime(n: int, cap: int = DEFAULT_PRIME_CAP) -> int:
+def nth_prime(n: int) -> int:
     """Return the n-th prime (1-indexed: nth_prime(1) == 2).
 
-    Raises PrimeCapError for n beyond `cap`, the largest index the package
-    is configured to search.
+    Raises PrimeCapError for n beyond PRIME_CAP, the largest index the
+    package searches.
     """
     if n < 1:
         raise ValueError(f"prime index must be >= 1, got {n}")
-    if n > cap:
-        raise PrimeCapError(f"prime cap exceeded: index {n} > cap {cap}")
+    if n > PRIME_CAP:
+        raise PrimeCapError(f"prime cap exceeded: index {n} > cap {PRIME_CAP}")
     if n > len(_primes):
         _extend_primes(n)
     return _primes[n - 1]
@@ -55,14 +54,14 @@ def first_primes(n: int) -> list[int]:
     return _primes[:n]
 
 
-def smallest_unused_prime(used: Collection[int], cap: int = DEFAULT_PRIME_CAP) -> int:
+def smallest_unused_prime(used: Collection[int]) -> int:
     """Smallest prime not contained in `used`, searched in increasing order."""
     taken = set(used)
-    for i in range(1, cap + 1):
-        p = nth_prime(i, cap)
+    for i in range(1, PRIME_CAP + 1):
+        p = nth_prime(i)
         if p not in taken:
             return p
-    raise PrimeCapError(f"prime cap exceeded: all primes up to index {cap} in use")
+    raise PrimeCapError(f"prime cap exceeded: all primes up to index {PRIME_CAP} in use")
 
 
 def encode(pairs: Iterable[tuple[int, int]], max_exponent: int) -> int:
@@ -89,16 +88,16 @@ def encode(pairs: Iterable[tuple[int, int]], max_exponent: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _factorize(message: int, prime_cap: int) -> tuple[tuple[int, int], ...]:
+def _factorize(message: int) -> tuple[tuple[int, int], ...]:
     factors = []
     residue = message
     index = 1
     while residue > 1:
-        if index > prime_cap:
+        if index > PRIME_CAP:
             raise CodecError(
-                f"unfactorable residue {residue}: no prime factor within cap index {prime_cap}"
+                f"unfactorable residue {residue}: no prime factor within cap index {PRIME_CAP}"
             )
-        p = nth_prime(index, prime_cap)
+        p = nth_prime(index)
         if residue % p == 0:
             exponent = 0
             while residue % p == 0:
@@ -109,7 +108,7 @@ def _factorize(message: int, prime_cap: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def decode(message: int, max_exponent: int, prime_cap: int = DEFAULT_PRIME_CAP) -> dict[int, int]:
+def decode(message: int, max_exponent: int) -> dict[int, int]:
     """Recover the (prime, exponent) pairs of `message` by trial division.
 
     Primes are tried in increasing order up to the cap index, so corrupted
@@ -120,7 +119,7 @@ def decode(message: int, max_exponent: int, prime_cap: int = DEFAULT_PRIME_CAP) 
     """
     if message < 1:
         raise CodecError(f"message must be >= 1, got {message}")
-    pairs = _factorize(message, prime_cap)
+    pairs = _factorize(message)
     for p, exponent in pairs:
         if exponent > max_exponent:
             raise CodecError(
@@ -134,37 +133,3 @@ def bit_length(message: int) -> int:
     if message < 1:
         raise ValueError(f"message must be >= 1, got {message}")
     return message.bit_length()
-
-
-@dataclass
-class PrimeRegistry:
-    """Central agent-to-prime assignment table.
-
-    Initialization is centralized: agent i receives the i-th prime, in call
-    order.  Primes released by departed agents may be reassigned to joiners;
-    the injective-map invariant holds over active assignments.
-    """
-
-    cap: int = DEFAULT_PRIME_CAP
-    assignments: dict[int, int] = field(default_factory=dict)
-    _next_index: int = 1
-
-    def assign_next(self, agent_id: int) -> int:
-        """Assign the next prime in sequence (centralized initialization)."""
-        if agent_id in self.assignments:
-            raise ProtocolError(f"agent {agent_id} already holds a prime")
-        prime = nth_prime(self._next_index, self.cap)
-        self._next_index += 1
-        self.assignments[agent_id] = prime
-        return prime
-
-    def assign(self, agent_id: int, prime: int) -> None:
-        """Record an externally chosen prime (join flow)."""
-        if agent_id in self.assignments:
-            raise ProtocolError(f"agent {agent_id} already holds a prime")
-        if prime in self.assignments.values():
-            raise ProtocolError(f"prime {prime} already assigned")
-        self.assignments[agent_id] = prime
-
-    def release(self, agent_id: int) -> None:
-        self.assignments.pop(agent_id, None)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import CodecError, ProtocolError
-from .primes import PrimeRegistry, decode, encode, smallest_unused_prime
+from .primes import decode, encode, smallest_unused_prime
 
 
 class Variant(str, enum.Enum):
@@ -194,16 +194,16 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     return anomalies
 
 
-def join(new_id: int, neighbor_table: dict[int, int], registry: PrimeRegistry,
-         value: int, variant: Variant, max_value: int) -> AgentState:
-    """Admit a new agent by querying one neighbor's (steady-state) table.
+def join(new_id: int, sponsor: AgentState, value: int, variant: Variant,
+         max_value: int) -> AgentState:
+    """Admit a new agent by querying one neighbor, its sponsor.
 
-    The joiner takes the smallest prime absent from that table, records it
-    in the registry, and starts from scratch: its own pair is the only
-    entry, so the regular dissemination machinery announces it.
+    The joiner takes the smallest prime the sponsor neither holds nor has
+    seen leave, and starts from scratch: its own pair is the only entry, so
+    the regular dissemination machinery announces it.  Against a sponsor
+    whose table is complete (steady state) that prime is held by no one.
     """
-    prime = smallest_unused_prime(neighbor_table.keys(), cap=registry.cap)
-    registry.assign(new_id, prime)
+    prime = smallest_unused_prime(sponsor.table.keys() | sponsor.departed)
     return make_agent(new_id, prime, value, variant, max_value)
 
 

@@ -19,7 +19,7 @@ from typing import Union
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, ProtocolError
 from .graph import Topology
-from .primes import PrimeRegistry, bit_length
+from .primes import bit_length, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
                        make_agent, receive_message)
 
@@ -178,10 +178,7 @@ def run(cfg: SimConfig) -> RunResult:
     data_rng = random.Random(f"{cfg.seed}:data")
     loss_rng = random.Random(f"{cfg.seed}:loss")
 
-    registry = PrimeRegistry()
     agents: dict[int, AgentState] = {}
-    agent_primes: dict[int, int] = {}
-    agent_values: dict[int, int] = {}
     nodes = topology.nodes
     if cfg.data_values is not None:
         if len(cfg.data_values) != len(nodes):
@@ -191,13 +188,10 @@ def run(cfg: SimConfig) -> RunResult:
         values = list(cfg.data_values)
     else:
         values = [data_rng.randint(1, cfg.max_value) for _ in nodes]
-    for node, value in zip(nodes, values):
+    for index, (node, value) in enumerate(zip(nodes, values), 1):
         if not 1 <= value <= cfg.max_value:
             raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
-        prime = registry.assign_next(node)
-        agents[node] = make_agent(node, prime, value, cfg.variant, cfg.max_value)
-        agent_primes[node] = prime
-        agent_values[node] = value
+        agents[node] = make_agent(node, nth_prime(index), value, cfg.variant, cfg.max_value)
 
     events_by_round = {e.round_index: e for e in cfg.events}
     last_event_round = max(events_by_round, default=0)
@@ -216,18 +210,21 @@ def run(cfg: SimConfig) -> RunResult:
         event = events_by_round.get(k)
         if isinstance(event, JoinEvent):
             topology = topology.with_node_added(event.node, event.attach_to)
-            sponsor = min(event.attach_to)
-            state = join(event.node, agents[sponsor].table, registry,
-                         event.value, cfg.variant, cfg.max_value)
+            state = join(event.node, agents[min(event.attach_to)], event.value,
+                         cfg.variant, cfg.max_value)
+            # A sponsor whose table is incomplete can offer a prime in use.
+            holder = next((i for i in topology.nodes if i != event.node
+                           and agents[i].own_prime == state.own_prime), None)
+            if holder is not None:
+                anomalies.append(f"round {k}: agent {event.node} joined with prime "
+                                 f"{state.own_prime}, already held by agent {holder}")
             agents[event.node] = state
-            agent_primes[event.node] = state.own_prime
-            agent_values[event.node] = state.own_value
         elif isinstance(event, LeaveEvent):
-            if event.node not in agents or not agents[event.node].active:
+            if event.node not in topology.nodes:
                 raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
             leaving = event.node
 
-        present = [n for n in topology.nodes if agents[n].active]
+        present = topology.nodes
         tables = {i: dict(agents[i].table) for i in present}
         active_pairs = {i: (agents[i].own_prime, agents[i].own_value) for i in present}
         relaying = any(agents[i].goodbye_relay for i in present)
@@ -251,8 +248,6 @@ def run(cfg: SimConfig) -> RunResult:
         for sender, target in delivered:
             senders_of.setdefault(target, []).append(sender)
         for receiver in present:
-            if not agents[receiver].active:
-                continue  # the leaver hears this round's traffic but discards it
             for sender in senders_of.get(receiver, ()):
                 try:
                     for note in receive_message(agents[receiver], messages[sender]):
@@ -266,7 +261,6 @@ def run(cfg: SimConfig) -> RunResult:
 
         if leaving is not None:
             topology = topology.without_node(leaving)
-            registry.release(leaving)
             if not topology.is_connected():
                 anomalies.append(
                     f"round {k}: leave of agent {leaving} disconnected the graph"
@@ -300,8 +294,8 @@ def run(cfg: SimConfig) -> RunResult:
         initial_topology=initial_topology,
         final_topology=topology,
         traces=traces,
-        agent_primes=agent_primes,
-        agent_values=agent_values,
+        agent_primes={i: a.own_prime for i, a in agents.items()},
+        agent_values={i: a.own_value for i, a in agents.items()},
         diameter=diam,
         completion_round=completion,
         peak_message_bits=max(all_bits, default=0),

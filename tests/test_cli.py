@@ -65,6 +65,9 @@ def test_unknown_flag_rejected(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["demo", "--seed", "1"],
     ["run", "--config", "x", "--out", "y", "--format", "csv"],
+    ["run", "--config", "x", "--out", "y", "--verbose"],
+    ["check", "--config", "x", "--out", "y", "--verbose"],
+    ["compare-size", "--config", "x", "--out", "y", "--verbose"],
 ])
 def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -179,3 +179,33 @@ def test_diameter_is_max_saturation_radius(t):
             k += 1
         saturation.append(k)
     assert diameter(t) == max(saturation)
+
+
+@st.composite
+def graphs(draw):
+    """Graphs on 1..n, connected or not."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Topology(range(1, n + 1), edges, require_connected=False)
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_graph_oracles_match_networkx(t):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(t.nodes)
+    g.add_edges_from(t.edges)
+    for node in t.nodes:
+        dist = nx.single_source_shortest_path_length(g, node)
+        assert bfs_distances(t, node) == dist
+        for k in range(max(dist.values()) + 2):
+            inclusive, exclusive = hop_sets(t, node, k)
+            assert inclusive == set(nx.ego_graph(g, node, radius=k))
+            assert exclusive == nx.descendants_at_distance(g, node, k)
+    if nx.is_connected(g):
+        assert diameter(t) == nx.diameter(g)
+    else:
+        with pytest.raises(GraphError, match="disconnected"):
+            diameter(t)

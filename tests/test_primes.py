@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from primetime.errors import CodecError, PrimeCapError, ProtocolError
-from primetime.primes import (PrimeRegistry, bit_length, decode, encode,
-                              first_primes, nth_prime, smallest_unused_prime)
+from primetime.errors import CodecError, PrimeCapError
+from primetime.primes import (PRIME_CAP, bit_length, decode, encode, first_primes,
+                              nth_prime, smallest_unused_prime)
 
 
 def sieve_of_eratosthenes(limit):
@@ -30,9 +32,9 @@ def test_nth_prime_agrees_with_sieve_oracle():
     assert nth_prime(10_000) == 104_729
 
 
-def test_nth_prime_cap_exceeded():
+def test_nth_prime_past_the_cap():
     with pytest.raises(PrimeCapError, match="prime cap exceeded"):
-        nth_prime(11, cap=10)
+        nth_prime(PRIME_CAP + 1)
     with pytest.raises(ValueError):
         nth_prime(0)
 
@@ -68,9 +70,9 @@ def test_decode_examples():
 
 
 def test_decode_unfactorable_residue():
-    # 11 has no factor among the first four primes (2, 3, 5, 7)
+    # 1,000,003 is a prime beyond the PRIME_CAP-th prime, 104,729
     with pytest.raises(CodecError, match="unfactorable residue"):
-        decode(11, max_exponent=5, prime_cap=4)
+        decode(1_000_003, max_exponent=5)
 
 
 def test_decode_exponent_out_of_range():
@@ -119,7 +121,7 @@ def test_multiplicativity_over_disjoint_split(case):
 @given(pair_sets())
 @settings(max_examples=50)
 def test_decode_total_on_valid_inputs(case):
-    # any integer built from registry primes with in-range exponents decodes
+    # any integer built from capped primes with in-range exponents decodes
     pairs, m = case
     message = 1
     for p, x in pairs.items():
@@ -127,20 +129,21 @@ def test_decode_total_on_valid_inputs(case):
     decode(message, max_exponent=m + 1)  # must not raise
 
 
-def test_registry_sequential_assignment():
-    reg = PrimeRegistry()
-    assert [reg.assign_next(i) for i in (1, 2, 3, 4, 5)] == [2, 3, 5, 7, 11]
-    with pytest.raises(ProtocolError):
-        reg.assign_next(3)
+@st.composite
+def messages(draw):
+    """Products of capped prime powers, some multiplied by an arbitrary cofactor."""
+    powers = draw(st.dictionaries(st.integers(1, PRIME_CAP), st.integers(1, 8), max_size=5))
+    message = math.prod(nth_prime(i)**x for i, x in powers.items())
+    return message * draw(st.just(1) | st.integers(1, 10**12))
 
 
-def test_registry_join_assignment_and_release():
-    reg = PrimeRegistry()
-    for i in (1, 2, 3):
-        reg.assign_next(i)
-    reg.assign(9, 11)
-    with pytest.raises(ProtocolError, match="already assigned"):
-        reg.assign(10, 11)
-    reg.release(9)
-    reg.assign(10, 11)  # released primes may be reused
-    assert reg.assignments[10] == 11
+@given(messages())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_sympy_factorint(message):
+    sympy = pytest.importorskip("sympy")
+    factors = sympy.factorint(message)
+    if max(factors, default=2) > nth_prime(PRIME_CAP):
+        with pytest.raises(CodecError, match="unfactorable residue"):
+            decode(message, max_exponent=64)
+    else:
+        assert decode(message, max_exponent=64) == factors

@@ -1,9 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from primetime.errors import ProtocolError
-from primetime.primes import PrimeRegistry
 from primetime.protocol import (Variant, form_message, join, leave,
                                 make_agent, receive_message)
 
@@ -113,9 +114,15 @@ def test_goodbye_for_own_prime_is_refused():
     assert agent.table[7] == 2
 
 
+def sponsor_holding(own_prime, *others):
+    """An agent whose table holds its own pair and `others`, at value 1."""
+    agent = fresh(prime=own_prime, value=1)
+    receive_message(agent, math.prod(others))
+    return agent
+
+
 def test_join_picks_smallest_unused_prime():
-    reg = PrimeRegistry()
-    state = join(9, {2: 1, 3: 2, 5: 1, 7: 4}, reg, value=2,
+    state = join(9, sponsor_holding(2, 3, 5, 7), value=2,
                  variant=Variant.PRIMETIME, max_value=4)
     assert state.own_prime == 11
     assert state.table == {11: 2}
@@ -123,16 +130,22 @@ def test_join_picks_smallest_unused_prime():
 
 
 def test_join_fills_gaps():
-    reg = PrimeRegistry()
-    state = join(9, {2: 1, 5: 1, 7: 4}, reg, value=1,
+    state = join(9, sponsor_holding(2, 5, 7), value=1,
                  variant=Variant.INCREMENTAL, max_value=4)
     assert state.own_prime == 3
 
 
-def test_join_empty_neighbor_table():
-    reg = PrimeRegistry()
-    state = join(9, {}, reg, value=1, variant=Variant.PRIMETIME, max_value=4)
+def test_join_sponsor_knowing_only_itself():
+    state = join(9, sponsor_holding(3), value=1, variant=Variant.PRIMETIME, max_value=4)
     assert state.own_prime == 2
+
+
+def test_join_skips_primes_the_sponsor_saw_leave():
+    sponsor = sponsor_holding(2, 5)
+    receive_message(sponsor, 3**5 * 5**5)  # goodbyes: 3 never stored, 5 stored
+    assert sponsor.table == {2: 1}
+    state = join(9, sponsor, value=1, variant=Variant.PRIMETIME, max_value=4)
+    assert state.own_prime == 7
 
 
 def test_leave_primetime_stacks_sentinel_on_own_pair():

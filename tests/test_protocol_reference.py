@@ -24,7 +24,7 @@ from primetime.protocol import (Variant, form_message, leave, make_agent,
 from primetime.sim import JoinEvent, LeaveEvent, SimConfig, TopologySpec, run
 
 UNIVERSE = [nth_prime(i) for i in range(1, 9)]  # 2 .. 19
-NON_SMOOTH = 1_000_003  # a prime beyond the default cap index
+NON_SMOOTH = 1_000_003  # a prime beyond the PRIME_CAP-th prime
 
 
 @dataclass
@@ -108,9 +108,8 @@ def ref_make(agent_id, prime, value, variant, max_value):
     return RefAgent(agent_id, prime, value, variant, max_value)
 
 
-def ref_join(new_id, neighbor_table, registry, value, variant, max_value):
-    prime = smallest_unused_prime(neighbor_table.keys(), cap=registry.cap)
-    registry.assign(new_id, prime)
+def ref_join(new_id, sponsor, value, variant, max_value):
+    prime = smallest_unused_prime(sponsor.table.keys() | sponsor.departed)
     return ref_make(new_id, prime, value, variant, max_value)
 
 
@@ -241,13 +240,14 @@ def test_run_with_loss_and_churn_matches_reference(variant, monkeypatch):
     cycle = TopologySpec(family="cycle", n=12)
     configs = [SimConfig(topology=cycle, variant=variant, loss_q=0.2, seed=seed,
                          max_rounds=50, events=CHURN) for seed in range(4)]
-    # Agent 4's goodbye reaches agent 3 only, so the joiner reuses its prime
-    # with another value and agents still holding the old pair reject it.
+    # The sponsor, agent 3, hears nothing before the join, so the joiner takes
+    # agent 1's prime 2 with another value and agents holding 2 reject it.
+    starved = tuple((r, src, 3) for r in range(20) for src in (2, 4))
     configs.append(SimConfig(topology=cycle, variant=variant, data_values=(1, 2, 3, 4) * 3,
-                             drop_schedule=((10, 4, 5), (11, 3, 2)), max_rounds=50,
-                             events=CHURN))
+                             drop_schedule=starved, max_rounds=50, events=CHURN))
     for cfg in configs:
         assert observed(cfg, run) == observed(
             cfg, lambda c: run_with_reference(c, monkeypatch))
-    rounds = observed(configs[-1], run)[0]
+    rounds, primes, _ = observed(configs[-1], run)
+    assert primes[13] == 2
     assert any("rejected" in note for _, _, _, notes in rounds for note in notes)
