@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import graph as graphmod
-from .primes import bit_length, decode, encode, first_primes
+from .primes import bit_length, decimal, decode, encode, first_primes
 from .protocol import Variant
 from .sim import RunResult, SimConfig
 
@@ -104,9 +104,10 @@ def check_hop_equations(result: RunResult) -> CheckVerdict:
             if message != expected:
                 return CheckVerdict(
                     "hop_equations", False,
-                    detail=f"agent {agent} round {k}: message {message} != oracle {expected}",
-                    counterexample={"agent": agent, "round": k,
-                                    "message": str(message), "expected": str(expected)},
+                    detail=f"agent {agent} round {k}: message {decimal(message)} "
+                           f"!= oracle {decimal(expected)}",
+                    counterexample={"agent": agent, "round": k, "message": decimal(message),
+                                    "expected": decimal(expected)},
                 )
     return CheckVerdict("hop_equations", True,
                         detail=f"{sum(len(t.messages) for t in result.traces)} messages match")

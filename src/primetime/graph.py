@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import cached_property
 from typing import Iterable
 
 from .errors import GraphError
@@ -51,6 +52,12 @@ class Topology:
         }
         if require_connected and not self.is_connected():
             raise GraphError("disconnected graph")
+
+    @cached_property
+    def directed_edges(self) -> tuple[tuple[int, int], ...]:
+        """Both directions of every edge, sorted.  Built once per topology,
+        so every round's delivery lists share these tuples."""
+        return tuple(sorted((u, v) for u in self.nodes for v in self.adjacency[u]))
 
     @property
     def node_count(self) -> int:

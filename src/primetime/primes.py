@@ -6,6 +6,7 @@ inverses on valid pair sets; 1 encodes the empty set.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Collection, Iterable
 
@@ -94,8 +95,10 @@ def _factorize(message: int) -> tuple[tuple[int, int], ...]:
     index = 1
     while residue > 1:
         if index > PRIME_CAP:
+            # The residue itself can be too long to format as decimal.
             raise CodecError(
-                f"unfactorable residue {residue}: no prime factor within cap index {PRIME_CAP}"
+                f"unfactorable residue of {residue.bit_length()} bits: "
+                f"no prime factor within cap index {PRIME_CAP}"
             )
         p = nth_prime(index)
         if residue % p == 0:
@@ -126,6 +129,46 @@ def decode(message: int, max_exponent: int) -> dict[int, int]:
                 f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
             )
     return dict(pairs)
+
+
+def decimal(message: int) -> str:
+    """``str(message)`` for a non-negative int of any size.
+
+    Python refuses to convert an int of more than
+    ``sys.get_int_max_str_digits()`` digits with ``str``.  Longer integers
+    are split by a power of ten into a high part and a zero-padded low part
+    of about half the digits each, recursively, so every ``str`` call stays
+    under the limit (Brent & Zimmermann, *Modern Computer Arithmetic*,
+    section 1.7).
+    """
+    # Pythons before 3.10.7 have no limit and no way to read it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(message)
+    return _decimal(message, limit)
+
+
+def _decimal(n: int, limit: int) -> str:
+    bits = n.bit_length()
+    # Digit-count bounds from 2**(bits - 1) <= n < 2**bits, in integer
+    # arithmetic (0.30102 < log10(2) < 0.30103).
+    most = bits * 30103 // 100000 + 1
+    if most <= limit:
+        return str(n)
+    least = (bits - 1) * 30102 // 100000 + 1
+    # Split at k digits with least / 2 <= k < least, so the high part is
+    # nonzero and both parts shrink; k is limit // 2 times a power of two,
+    # which keeps the set of divisors small.
+    k = limit // 2
+    while 2 * k < least:
+        k *= 2
+    high, low = divmod(n, _power_of_ten(k))
+    return _decimal(high, limit) + _decimal(low, limit).zfill(k)
+
+
+@lru_cache(maxsize=None)
+def _power_of_ten(k: int) -> int:
+    return 10**k
 
 
 def bit_length(message: int) -> int:

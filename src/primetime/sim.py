@@ -4,22 +4,23 @@ Rounds run in lockstep: every active agent forms its message from its
 start-of-round table, all deliveries happen against one barrier, and only
 then are receptions merged.  Traces record the start-of-round tables and
 the transmitted messages, so row k of a trace holds exactly the table and
-message an agent had at round k.
+message an agent had at round k.  A table is recorded as the agent's
+running product, its encoding, so an unchanged table costs no copy.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
 """
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cached_property
+from typing import Iterator, Union
 
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, ProtocolError
 from .graph import Topology
-from .primes import bit_length, nth_prime
+from .primes import bit_length, decimal, decode, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
                        make_agent, receive_message)
 
@@ -103,9 +104,18 @@ class SimConfig:
 
 @dataclass
 class RoundTrace:
-    """Everything observable about one round, keyed by agent id."""
+    """Everything observable about one round, keyed by agent id.
+
+    Start-of-round tables are kept as the agents' running products.  A
+    product is an immutable int, so an agent whose table did not change
+    shares one object with the previous round, and under the full variant
+    with its message.  `tables` decodes them on first use.
+    """
     round_index: int
-    tables: dict[int, dict[int, int]]  # start-of-round snapshots, present agents only
+    products: dict[int, int]  # start-of-round table encodings, present agents only
+    table_sizes: dict[int, int]
+    completed: bool  # see complete()
+    max_value: int
     active_pairs: dict[int, tuple[int, int]]  # agent -> (own prime, own value)
     messages: dict[int, int]
     message_bits: dict[int, int]
@@ -113,15 +123,21 @@ class RoundTrace:
     dropped: list[tuple[int, int]]
     anomalies: list[str] = field(default_factory=list)
 
+    @cached_property
+    def tables(self) -> dict[int, dict[int, int]]:
+        """Start-of-round table snapshots, decoded from `products`."""
+        return {i: decode(product, max_exponent=self.max_value)
+                for i, product in self.products.items()}
+
     def incoming(self, receiver: int) -> dict[int, int]:
         """Messages delivered to `receiver` this round, keyed by sender."""
         return {s: self.messages[s] for s, r in self.delivered if r == receiver}
 
     def complete(self) -> bool:
-        """The completion predicate: every present snapshot table holds
-        every active agent's pair."""
-        required = set(self.active_pairs.values())
-        return all(table.items() >= required for table in self.tables.values())
+        """The completion predicate: every present agent's start-of-round
+        table held every active agent's pair.  The engine evaluates it on
+        the live tables when it takes the snapshot."""
+        return self.completed
 
 
 @dataclass
@@ -179,6 +195,7 @@ def run(cfg: SimConfig) -> RunResult:
     loss_rng = random.Random(f"{cfg.seed}:loss")
 
     agents: dict[int, AgentState] = {}
+    own_pairs: dict[int, tuple[int, int]] = {}  # one tuple per agent, shared by every trace
     nodes = topology.nodes
     if cfg.data_values is not None:
         if len(cfg.data_values) != len(nodes):
@@ -192,6 +209,7 @@ def run(cfg: SimConfig) -> RunResult:
         if not 1 <= value <= cfg.max_value:
             raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
         agents[node] = make_agent(node, nth_prime(index), value, cfg.variant, cfg.max_value)
+        own_pairs[node] = (agents[node].own_prime, value)
 
     events_by_round = {e.round_index: e for e in cfg.events}
     last_event_round = max(events_by_round, default=0)
@@ -219,14 +237,18 @@ def run(cfg: SimConfig) -> RunResult:
                 anomalies.append(f"round {k}: agent {event.node} joined with prime "
                                  f"{state.own_prime}, already held by agent {holder}")
             agents[event.node] = state
+            own_pairs[event.node] = (state.own_prime, state.own_value)
         elif isinstance(event, LeaveEvent):
             if event.node not in topology.nodes:
                 raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
             leaving = event.node
 
         present = topology.nodes
-        tables = {i: dict(agents[i].table) for i in present}
-        active_pairs = {i: (agents[i].own_prime, agents[i].own_value) for i in present}
+        products = {i: agents[i].product for i in present}
+        table_sizes = {i: len(agents[i].table) for i in present}
+        active_pairs = {i: own_pairs[i] for i in present}
+        required = set(active_pairs.values())
+        completed = all(agents[i].table.items() >= required for i in present)
         relaying = any(agents[i].goodbye_relay for i in present)
 
         messages: dict[int, int] = {}
@@ -236,8 +258,7 @@ def run(cfg: SimConfig) -> RunResult:
             else:
                 messages[i] = form_message(agents[i])
 
-        directed = sorted((u, v) for u in topology.nodes
-                          for v in topology.adjacency[u])
+        directed = topology.directed_edges
         forced = forced_drops.get(k, set())
         candidates = [e for e in directed if e not in forced]
         delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
@@ -268,7 +289,10 @@ def run(cfg: SimConfig) -> RunResult:
 
         trace = RoundTrace(
             round_index=k,
-            tables=tables,
+            products=products,
+            table_sizes=table_sizes,
+            completed=completed,
+            max_value=cfg.max_value,
             active_pairs=active_pairs,
             messages=messages,
             message_bits={i: bit_length(m) for i, m in messages.items()},
@@ -280,7 +304,7 @@ def run(cfg: SimConfig) -> RunResult:
 
         # Once settled, a run stays settled: after the last event no new
         # sentinel can start, and only sentinels take pairs out of a table.
-        if last_round is None and trace.complete():
+        if last_round is None and completed:
             if completion is None:
                 completion = k
             if k > last_event_round and not relaying:
@@ -307,31 +331,37 @@ TRACE_COLUMNS = ("round", "agent", "prime", "message_decimal", "message_bits",
                  "table_size", "active")
 
 
-def trace_rows(result: RunResult) -> list[tuple]:
+def trace_rows(result: RunResult) -> Iterator[tuple]:
     """Flatten a run into (round, agent, ...) rows, one per round and agent.
 
     Agents absent from a round (departed or not yet joined) appear with
     active=0 and zeroed message fields, keeping the table rectangular.
     """
-    rows = []
     all_agents = sorted(result.agent_primes)
     for trace in result.traces:
         for agent in all_agents:
             prime = result.agent_primes[agent]
             if agent in trace.messages:
-                rows.append((trace.round_index, agent, prime,
-                             trace.messages[agent], trace.message_bits[agent],
-                             len(trace.tables[agent]), 1))
+                yield (trace.round_index, agent, prime,
+                       trace.messages[agent], trace.message_bits[agent],
+                       trace.table_sizes[agent], 1)
             else:
-                rows.append((trace.round_index, agent, prime, 0, 0, 0, 0))
-    return rows
+                yield (trace.round_index, agent, prime, 0, 0, 0, 0)
 
 
 def write_trace_csv(result: RunResult, path) -> None:
+    """Write trace.csv: CSV with CRLF line ends, as the `csv` module writes
+    it, though no field ever needs quoting.  A message often repeats (the
+    full variant resends an unchanged table), so each distinct message is
+    converted to decimal once."""
+    decimals: dict[int, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace_rows(result))
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for round_index, agent, prime, message, bits, size, active in trace_rows(result):
+            text = decimals.get(message)
+            if text is None:
+                text = decimals[message] = decimal(message)
+            fh.write(f"{round_index},{agent},{prime},{text},{bits},{size},{active}\r\n")
 
 
 def summary_text(result: RunResult) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -78,6 +79,22 @@ def test_check_hop_equations_catches_corruption():
     verdict = check_hop_equations(result)
     assert not verdict.passed
     assert verdict.counterexample["agent"] == 2
+
+
+def test_hop_equations_counterexample_past_the_str_digit_limit():
+    # ten agents at value M = 1000 send 33 kbit tables from round 1 on
+    result = run(config(topology=TopologySpec(family="complete", n=10), max_value=1000,
+                        data_values=(1000,) * 10))
+    result.traces[1].messages[2] *= 2
+    verdict = check_hop_equations(result)
+    assert not verdict.passed
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(result.traces[1].messages[2])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert verdict.counterexample["message"] == expected
 
 
 def test_steady_state_growth_values():

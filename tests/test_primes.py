@@ -1,12 +1,13 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from primetime.errors import CodecError, PrimeCapError
-from primetime.primes import (PRIME_CAP, bit_length, decode, encode, first_primes,
-                              nth_prime, smallest_unused_prime)
+from primetime.primes import (PRIME_CAP, bit_length, decimal, decode, encode,
+                              first_primes, nth_prime, smallest_unused_prime)
 
 
 def sieve_of_eratosthenes(limit):
@@ -73,6 +74,10 @@ def test_decode_unfactorable_residue():
     # 1,000,003 is a prime beyond the PRIME_CAP-th prime, 104,729
     with pytest.raises(CodecError, match="unfactorable residue"):
         decode(1_000_003, max_exponent=5)
+    # a residue too long to print in decimal is reported by its size
+    hostile = 1_000_003**1000
+    with pytest.raises(CodecError, match=f"unfactorable residue of {hostile.bit_length()} bits"):
+        decode(hostile, max_exponent=9)
 
 
 def test_decode_exponent_out_of_range():
@@ -147,3 +152,18 @@ def test_decode_matches_sympy_factorint(message):
             decode(message, max_exponent=64)
     else:
         assert decode(message, max_exponent=64) == factors
+
+
+def test_decimal_matches_str_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    # the digit counts around the limit and around the splits below it
+    sizes = [1, 9, 10, 639, 640, 641, 4299, 4300, 4301, 8600, 8601, 30_000]
+    cases = [0, 1, 2**14_000 - 1, 7**40_000]
+    cases += [10**d + offset for d in sizes for offset in (-1, 0, 1)]
+    cases += [10**d * 123_456 for d in sizes]
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [decimal(n) for n in cases] == expected

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from primetime.errors import ProtocolError
+from primetime.errors import CodecError, ProtocolError
 from primetime.protocol import (Variant, form_message, join, leave,
                                 make_agent, receive_message)
 
@@ -59,6 +60,16 @@ def test_receive_conflicting_value_raises():
     receive_message(agent, 5**4)
     with pytest.raises(ProtocolError, match="conflicting value"):
         receive_message(agent, 5**3)
+
+
+def test_receive_hostile_message_changes_nothing():
+    # non-smooth and too long to print in decimal
+    agent = fresh(prime=2, value=1, max_value=4)
+    receive_message(agent, 5**4)
+    before = copy.deepcopy(agent)
+    with pytest.raises(CodecError, match="unfactorable residue"):
+        receive_message(agent, 1_000_003**1000)
+    assert agent == before
 
 
 def test_receive_sentinel_removes_and_queues_relay():

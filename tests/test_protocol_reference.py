@@ -43,6 +43,11 @@ class RefAgent:
     def __post_init__(self):
         self.table[self.own_prime] = self.own_value
 
+    @property
+    def product(self) -> int:
+        """The table's encoding, which the engine records each round."""
+        return encode(self.table.items(), max_exponent=self.max_value)
+
 
 def ref_form(ref: RefAgent) -> int:
     if not ref.active:

@@ -1,13 +1,18 @@
+import csv
+import io
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import primetime.sim as sim
 from primetime.errors import ConfigError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
-from primetime.protocol import Variant
-from primetime.sim import (JoinEvent, LeaveEvent, SimConfig, TopologySpec,
+from primetime.protocol import Variant, form_message
+from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
                            apply_loss, completion_round, run, summary_text,
                            trace_rows, write_summary, write_trace_csv)
 
@@ -105,6 +110,71 @@ def test_trace_row_format():
         (0, 2, 3, 9, 4, 1, 1),
         (0, 3, 5, 125, 7, 1, 1),
     ]
+
+
+def test_trace_csv_writes_messages_past_the_str_digit_limit(tmp_path):
+    # ten agents at value M = 1000 make a 33 kbit table, about 9,800 digits,
+    # past the 4,300 that str() converts by default
+    result = run(config(topology=TopologySpec(family="complete", n=10), max_value=1000,
+                        data_values=(1000,) * 10))
+    assert result.peak_message_bits > 4300 * 3.33
+    write_trace_csv(result, tmp_path / "trace.csv")
+    expected = io.StringIO(newline="")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        writer = csv.writer(expected)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(trace_rows(result))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_snapshots_share_the_running_products():
+    spec = TopologySpec(family="path", n=6)
+    full = run(config(topology=spec))
+    for trace in full.traces:
+        assert all(trace.products[i] is trace.messages[i] for i in trace.messages)
+    incremental = run(config(topology=spec, variant=Variant.INCREMENTAL))
+    unchanged = 0
+    for before, after in zip(incremental.traces, incremental.traces[1:]):
+        for i, size in after.table_sizes.items():
+            assert size == len(after.tables[i])
+            if size == before.table_sizes[i]:
+                assert after.products[i] is before.products[i]
+                unchanged += 1
+    assert unchanged > 0
+
+
+def test_run_memory_stays_small():
+    # Copying every table into every round took 62 MB here.
+    tracemalloc.start()
+    try:
+        run(config(topology=TopologySpec(family="path", n=128)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
+def test_hostile_message_is_rejected_and_logged(monkeypatch):
+    # non-smooth, and too long for its residue to be printed in decimal
+    hostile = 1_000_003**1000
+
+    def form(state):
+        message = form_message(state)
+        return hostile if state.agent_id == 1 else message
+
+    monkeypatch.setattr(sim, "form_message", form)
+    result = run(config(max_rounds=5))
+    assert result.completion_round is None
+    for trace in result.traces:
+        assert trace.messages[1] == hostile
+        assert trace.anomalies == [
+            f"round {trace.round_index}: agent 2 rejected message from 1: "
+            f"unfactorable residue of {hostile.bit_length()} bits: "
+            "no prime factor within cap index 10000"]
 
 
 def test_apply_loss_zero_delivers_everything():
