@@ -9,8 +9,8 @@ diameter, and both extend to open graphs via smallest-unused-prime joins
 and sentinel-exponent goodbyes.
 """
 
-from .errors import (CodecError, ConfigError, GraphError, PrimeCapError,
-                     PrimeTimeError, ProtocolError)
+from .errors import (CodecError, ConfigError, ExponentRangeError, GraphError,
+                     PrimeCapError, PrimeTimeError, ProtocolError)
 from .graph import Topology, bfs_distances, diameter, eccentricity, generate, hop_sets
 from .primes import bit_length, decode, encode, nth_prime
 from .protocol import AgentState, Variant, form_message, join, leave, receive_message
@@ -20,8 +20,8 @@ from .sim import (JoinEvent, LeaveEvent, RoundTrace, RunResult, SimConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState", "CodecError", "ConfigError", "GraphError", "JoinEvent",
-    "LeaveEvent", "PrimeCapError", "PrimeTimeError",
+    "AgentState", "CodecError", "ConfigError", "ExponentRangeError", "GraphError",
+    "JoinEvent", "LeaveEvent", "PrimeCapError", "PrimeTimeError",
     "ProtocolError", "RoundTrace", "RunResult", "SimConfig", "Topology",
     "TopologySpec", "Variant", "apply_loss", "bfs_distances", "bit_length",
     "completion_round", "decode", "diameter", "eccentricity", "encode",

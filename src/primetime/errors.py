@@ -10,6 +10,10 @@ class CodecError(PrimeTimeError):
     unfactorable residue, exponent out of range."""
 
 
+class ExponentRangeError(CodecError):
+    """A message factors within the cap, but an exponent exceeds the bound."""
+
+
 class PrimeCapError(PrimeTimeError):
     """The prime search ran past the configured cap."""
 

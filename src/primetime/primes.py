@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt, log, prod
 from typing import Collection, Iterable
 
-from .errors import CodecError, PrimeCapError
+from .errors import CodecError, ExponentRangeError, PrimeCapError
 
 # Primes are searched through the ordered sequence p_1 = 2, p_2 = 3, ...
 # The cap is an index into that sequence and bounds every search so that a
@@ -21,16 +23,20 @@ _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
 
 def _extend_primes(count: int) -> None:
-    """Grow the cached prime list to at least `count` entries (trial division)."""
-    candidate = _primes[-1]
-    while len(_primes) < count:
-        candidate += 2
-        for p in _primes:
-            if p * p > candidate:
-                _primes.append(candidate)
-                break
-            if candidate % p == 0:
-                break
+    """Grow the cached prime list to at least `count` entries.
+
+    Sieves up to Rosser's bound p_n < n (ln n + ln ln n), n >= 6, on the
+    n-th prime.  The list at least doubles each time, up to PRIME_CAP, so
+    growing it block by block costs a constant number of sieves.
+    """
+    n = max(count, min(2 * len(_primes), PRIME_CAP))
+    limit = int(n * (log(n) + log(log(n)))) + 1
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    _primes[:] = compress(range(limit + 1), flags)
 
 
 def nth_prime(n: int) -> int:
@@ -88,44 +94,110 @@ def encode(pairs: Iterable[tuple[int, int]], max_exponent: int) -> int:
     return message
 
 
+# The factorizer screens the residue a block of consecutive cap primes at a
+# time: one gcd with the block's product says which of them divide it, so
+# only those are tried (D. J. Bernstein, *How to find smooth parts of
+# integers*, 2004).  Blocks are built on first use.
+_BLOCK = 64
+_BLOCKS = -(-PRIME_CAP // _BLOCK)
+_blocks: list[tuple[int, list[int]]] = []  # (product, primes), in prime order
+
+
+def _block(b: int) -> tuple[int, list[int]]:
+    """The b-th block of cap primes and their product."""
+    while len(_blocks) <= b:
+        start = len(_blocks) * _BLOCK
+        end = min(start + _BLOCK, PRIME_CAP)
+        if end > len(_primes):
+            _extend_primes(end)
+        primes = _primes[start:end]
+        _blocks.append((prod(primes), primes))
+    return _blocks[b]
+
+
+_ONE_AT_A_TIME = 16
+
+
+def _strip(residue: int, p: int) -> tuple[int, int]:
+    """(residue // p**e, e) for the largest e with p**e dividing `residue`.
+
+    Valid messages carry small exponents, so p is divided out one at a time
+    at first.  Past _ONE_AT_A_TIME divisions the rest goes by p, p**2, p**4,
+    ... while the power divides, then by the same powers in reverse, so a
+    hostile exponent costs O(log e) divisions, not e.
+    """
+    exponent = 0
+    while exponent < _ONE_AT_A_TIME:
+        quotient, remainder = divmod(residue, p)
+        if remainder:
+            return residue, exponent
+        residue = quotient
+        exponent += 1
+    powers = []
+    power = p
+    while True:
+        quotient, remainder = divmod(residue, power)
+        if remainder:
+            break
+        residue = quotient
+        exponent += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for k in reversed(range(len(powers))):
+        quotient, remainder = divmod(residue, powers[k])
+        if not remainder:
+            residue = quotient
+            exponent += 1 << k
+    return residue, exponent
+
+
 @lru_cache(maxsize=4096)
 def _factorize(message: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of `message` in ascending prime order."""
     factors = []
     residue = message
-    index = 1
-    while residue > 1:
-        if index > PRIME_CAP:
-            # The residue itself can be too long to format as decimal.
-            raise CodecError(
-                f"unfactorable residue of {residue.bit_length()} bits: "
-                f"no prime factor within cap index {PRIME_CAP}"
-            )
-        p = nth_prime(index)
-        if residue % p == 0:
-            exponent = 0
-            while residue % p == 0:
-                residue //= p
-                exponent += 1
-            factors.append((p, exponent))
-        index += 1
+    for b in range(_BLOCKS):
+        if residue == 1:
+            break
+        product, primes = _block(b)
+        shared = gcd(residue, product)
+        if shared == 1:
+            continue
+        for p in primes:
+            if shared % p == 0:
+                residue, exponent = _strip(residue, p)
+                factors.append((p, exponent))
+                if shared == p:
+                    break
+                shared //= p
+    if residue > 1:
+        # The residue itself can be too long to format as decimal.
+        raise CodecError(
+            f"unfactorable residue of {residue.bit_length()} bits: "
+            f"no prime factor within cap index {PRIME_CAP}"
+        )
     return tuple(factors)
 
 
 def decode(message: int, max_exponent: int) -> dict[int, int]:
-    """Recover the (prime, exponent) pairs of `message` by trial division.
+    """Recover the (prime, exponent) pairs of `message`.
 
-    Primes are tried in increasing order up to the cap index, so corrupted
-    input terminates with a CodecError instead of hanging.  decode(1) == {}.
+    The message is screened against blocks of the first PRIME_CAP primes by
+    gcd, and only the primes of a block that shares a factor are divided
+    out, so the cost follows the message, not the largest prime index, and
+    corrupted input terminates with a CodecError instead of hanging.
+    decode(1) == {}.
 
     Raises CodecError if a residue > 1 survives all primes within the cap,
-    or if any exponent exceeds `max_exponent`.
+    or ExponentRangeError, a CodecError, for the smallest prime whose
+    exponent exceeds `max_exponent`.
     """
     if message < 1:
         raise CodecError(f"message must be >= 1, got {message}")
     pairs = _factorize(message)
     for p, exponent in pairs:
         if exponent > max_exponent:
-            raise CodecError(
+            raise ExponentRangeError(
                 f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
             )
     return dict(pairs)

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import CodecError, ProtocolError
+from .errors import ExponentRangeError, ProtocolError
 from .primes import decode, encode, smallest_unused_prime
 
 
@@ -97,8 +97,10 @@ def form_message(state: AgentState) -> int:
         raise ProtocolError(f"agent {state.agent_id} already departed")
     if state.variant is Variant.PRIMETIME:
         message = state.product
-    else:
+    elif state.unsent:
         message = encode(state.unsent.items(), max_exponent=state.max_value)
+    else:
+        message = 1
     if state.goodbye_relay:
         goodbyes = [(p, state.sentinel) for p in sorted(state.goodbye_relay)]
         message *= encode(goodbyes, max_exponent=state.sentinel)
@@ -117,8 +119,10 @@ def _news(state: AgentState, message: int, max_exponent: int) -> dict[int, int] 
     rest.  When the cofactor names no stored prime, every stored prime in
     the message matches the table exactly, a no-op, so the cofactor's pairs
     are all the news.  A stored prime in the cofactor (a conflict or a
-    goodbye) or a codec error falls back to the whole message, so errors
-    read exactly as the reference decode reports them.
+    goodbye) or an exponent out of range falls back to the whole message,
+    so errors read exactly as the reference decode reports them.  g is
+    cap-smooth, so an unfactorable residue of the cofactor is the whole
+    message's, and its error is raised as is.
     """
     g = gcd(message, state.product)
     if gcd(state.product // g, g) != 1:
@@ -128,7 +132,7 @@ def _news(state: AgentState, message: int, max_exponent: int) -> dict[int, int] 
         return {}
     try:
         pairs = decode(cofactor, max_exponent=max_exponent)
-    except CodecError:
+    except ExponentRangeError:
         return None
     if any(p in state.table for p in pairs):
         return None
@@ -150,7 +154,7 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     tolerates but cannot explain (goodbye for a prime never stored, goodbye
     naming the receiver itself).
     """
-    if not state.active or message == 1:  # 1 is most incremental traffic
+    if not state.active or message == 1:  # 1 carries nothing
         return []
     # A datum x <= M stacked on a sentinel M+1 yields at most 2M+1.
     max_exponent = 2 * state.max_value + 1

@@ -265,9 +265,11 @@ def run(cfg: SimConfig) -> RunResult:
         delivered_set = set(delivered)
         dropped = [e for e in directed if e not in delivered_set]
 
+        # The message 1 carries nothing; it is most incremental traffic.
         senders_of: dict[int, list[int]] = {}
         for sender, target in delivered:
-            senders_of.setdefault(target, []).append(sender)
+            if messages[sender] != 1:
+                senders_of.setdefault(target, []).append(sender)
         for receiver in present:
             for sender in senders_of.get(receiver, ()):
                 try:

@@ -1,10 +1,13 @@
 import math
 import sys
+from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from primetime import primes
 from primetime.errors import CodecError, PrimeCapError
 from primetime.primes import (PRIME_CAP, bit_length, decimal, decode, encode,
                               first_primes, nth_prime, smallest_unused_prime)
@@ -167,3 +170,98 @@ def test_decimal_matches_str_past_the_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert [decimal(n) for n in cases] == expected
+
+
+def trial_division_decode(message, max_exponent):
+    """Reference codec: trial division by every cap prime in index order,
+    one division per unit of exponent."""
+    factors = []
+    residue = message
+    index = 1
+    while residue > 1:
+        if index > PRIME_CAP:
+            raise CodecError(
+                f"unfactorable residue of {residue.bit_length()} bits: "
+                f"no prime factor within cap index {PRIME_CAP}"
+            )
+        p = nth_prime(index)
+        if residue % p == 0:
+            exponent = 0
+            while residue % p == 0:
+                residue //= p
+                exponent += 1
+            factors.append((p, exponent))
+        index += 1
+    for p, exponent in factors:
+        if exponent > max_exponent:
+            raise CodecError(
+                f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
+            )
+    return dict(factors)
+
+
+def codec_outcome(fn, message, max_exponent):
+    try:
+        return fn(message, max_exponent), None
+    except CodecError as exc:
+        return None, str(exc)
+
+
+# The first and last primes of the first screening blocks, and the last cap prime.
+BLOCK_EDGES = [1, 64, 65, 128, 129, PRIME_CAP]
+# 104,743 is the first prime past the cap; 2**89 - 1 is a Mersenne prime.
+NON_SMOOTH = [104_743, 1_000_003, 104_743 * 1_000_003, 2**89 - 1]
+
+
+@st.composite
+def protocol_messages(draw):
+    """A message over cap primes with exponents up to one past the receive
+    bound 2M + 1, sometimes far past it, times a residue that may not be
+    cap-smooth; and the bound."""
+    m = draw(st.integers(1, 16))
+    indices = draw(st.sets(st.sampled_from(BLOCK_EDGES) | st.integers(1, PRIME_CAP),
+                           max_size=6))
+    exponents = st.integers(1, 2 * m + 2) | st.integers(2 * m + 2, 2000)
+    message = math.prod(nth_prime(i)**draw(exponents) for i in indices)
+    residue = draw(st.just(1) | st.sampled_from(NON_SMOOTH) | st.integers(2, 10**30))
+    return message * residue, 2 * m + 1
+
+
+@given(protocol_messages())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_trial_division(case):
+    message, bound = case
+    expected = codec_outcome(trial_division_decode, message, bound)
+    primes._factorize.cache_clear()
+    with mock.patch.object(primes, "nth_prime",
+                           side_effect=AssertionError("nth_prime called by decode")):
+        assert codec_outcome(decode, message, bound) == expected
+
+
+def test_decode_tables_grow_only_as_far_as_the_message_needs(monkeypatch):
+    monkeypatch.setattr(primes, "_primes", [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(primes, "_blocks", [])
+    primes._factorize.cache_clear()
+    assert decode(2 * 311, max_exponent=1) == {2: 1, 311: 1}  # primes 1 and 64
+    assert len(primes._blocks) == 1
+    assert len(primes._primes) < 2 * 64
+    assert decode(313, max_exponent=1) == {313: 1}  # prime 65
+    assert len(primes._blocks) == 2
+    with pytest.raises(CodecError, match="unfactorable residue of 17 bits"):
+        decode(104_743, max_exponent=1)
+    assert primes._primes[:PRIME_CAP] == sieve_of_eratosthenes(104_729)
+    primes._factorize.cache_clear()
+
+
+@pytest.mark.parametrize("prime, exponent, cofactor", [
+    (2, 100_000, 1), (3, 60_000, 5), (104_729, 10_000, 7),
+])
+def test_decode_huge_exponent_costs_few_divisions(prime, exponent, cofactor):
+    # one division per unit of exponent took 3 s on 2**100_000
+    message = prime**exponent * cofactor
+    primes._factorize.cache_clear()
+    start = perf_counter()
+    with pytest.raises(CodecError) as raised:
+        decode(message, max_exponent=9)
+    assert perf_counter() - start < 0.5
+    assert str(raised.value) == f"exponent out of range: {prime}**{exponent} exceeds bound 9"

@@ -1,11 +1,14 @@
 import copy
 import math
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import primetime.protocol as protocol
 from primetime.errors import CodecError, ProtocolError
+from primetime.primes import decode
 from primetime.protocol import (Variant, form_message, join, leave,
                                 make_agent, receive_message)
 
@@ -24,6 +27,17 @@ def test_incremental_goes_quiet_without_news():
     agent = fresh(Variant.INCREMENTAL)
     assert form_message(agent) == 49
     assert form_message(agent) == 1  # nothing learned since last send
+
+
+def test_incremental_without_news_encodes_nothing(monkeypatch):
+    agent = fresh(Variant.INCREMENTAL)
+    form_message(agent)
+
+    def encode(*args, **kwargs):
+        raise AssertionError("encode called without news")
+
+    monkeypatch.setattr(protocol, "encode", encode)
+    assert form_message(agent) == 1
 
 
 def test_primetime_repeats_whole_table():
@@ -70,6 +84,39 @@ def test_receive_hostile_message_changes_nothing():
     with pytest.raises(CodecError, match="unfactorable residue"):
         receive_message(agent, 1_000_003**1000)
     assert agent == before
+
+
+def test_receive_huge_exponent_is_cheap_and_changes_nothing():
+    # the cofactor 2**99_999 is within no bound, so the whole message is decoded
+    agent = fresh(prime=2, value=1, max_value=4)
+    receive_message(agent, 5**4)
+    before = copy.deepcopy(agent)
+    start = perf_counter()
+    with pytest.raises(CodecError) as raised:
+        receive_message(agent, 2**100_000)
+    assert perf_counter() - start < 0.5
+    assert str(raised.value) == "exponent out of range: 2**100000 exceeds bound 9"
+    assert agent == before
+
+
+def test_receive_decodes_a_non_smooth_message_once(monkeypatch):
+    # a stored pair, a new pair and a residue past the cap
+    agent = fresh(prime=2, value=1, max_value=4)
+    message = 2 * 5**4 * 1_000_003**1000
+    with pytest.raises(CodecError) as expected:
+        decode(message, max_exponent=9)
+    decoded = []
+
+    def counting_decode(m, max_exponent):
+        decoded.append(m)
+        return decode(m, max_exponent)
+
+    monkeypatch.setattr(protocol, "decode", counting_decode)
+    with pytest.raises(CodecError) as raised:
+        receive_message(agent, message)
+    assert decoded == [message // 2]
+    assert str(raised.value) == str(expected.value)
+    assert agent.table == {2: 1}
 
 
 def test_receive_sentinel_removes_and_queues_relay():

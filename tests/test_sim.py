@@ -177,6 +177,22 @@ def test_hostile_message_is_rejected_and_logged(monkeypatch):
             "no prime factor within cap index 10000"]
 
 
+def test_message_1_is_not_passed_to_receive_message(monkeypatch):
+    received = []
+    receive = sim.receive_message
+
+    def spy(state, message):
+        received.append(message)
+        return receive(state, message)
+
+    monkeypatch.setattr(sim, "receive_message", spy)
+    result = run(config(topology=TopologySpec(family="cycle", n=8),
+                        variant=Variant.INCREMENTAL))
+    assert any(m == 1 for t in result.traces for m in t.messages.values())
+    assert received and 1 not in received
+    assert result.completion_round == result.diameter
+
+
 def test_apply_loss_zero_delivers_everything():
     edges = [(1, 2), (2, 1), (2, 3)]
     assert apply_loss(edges, 0.0, random.Random(0)) == edges
