@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,12 +94,21 @@ def check_hop_equations(result: RunResult) -> CheckVerdict:
     pair_of = {i: (result.agent_primes[i], result.agent_values[i])
                for i in topology.nodes}
     incremental = result.config.variant is Variant.INCREMENTAL
-    distances = {i: graphmod.bfs_distances(topology, i) for i in topology.nodes}
+    # Each agent's nodes by hop distance, once: the ring at hop d is
+    # order[i][start[i][d]:start[i][d + 1]], and hops 0..d are a prefix.
+    order, start = {}, {}
+    for i in topology.nodes:
+        distances = graphmod.bfs_distances(topology, i)
+        order[i] = sorted(distances, key=distances.get)
+        hops = [distances[j] for j in order[i]]
+        start[i] = [bisect_left(hops, d) for d in range(hops[-1] + 2)]
     for trace in result.traces:
         k = trace.round_index
         for agent, message in trace.messages.items():
-            members = sorted(j for j, d in distances[agent].items()
-                             if (d == k if incremental else d <= k))
+            bounds = start[agent]
+            last = len(bounds) - 1
+            lo = bounds[min(k, last)] if incremental else 0
+            members = order[agent][lo:bounds[min(k + 1, last)]]
             expected = encode((pair_of[j] for j in members),
                               max_exponent=result.config.max_value + 1)
             if message != expected:

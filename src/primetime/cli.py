@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  run           execute one simulation, write trace.csv and summary.txt
+  run           execute one simulation, streaming trace.csv, then summary.txt
   sweep         run a parameter grid, write sweep.csv
   check         run and verify the diameter-exact completion and hop-set
                 message characterizations, write verdicts.json
@@ -26,8 +26,8 @@ from .config import load_config, load_sweep
 from .errors import ConfigError, PrimeTimeError
 from .graph import Topology, diameter
 from .protocol import Variant
-from .sim import (SimConfig, TopologySpec, run, summary_text, write_summary,
-                  write_trace_csv)
+from .sim import (SimConfig, TopologySpec, iter_rounds, run, summary_text,
+                  write_summary, write_trace_csv)
 
 DEMO_EDGES = ((1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (2, 7), (5, 7))
 DEMO_VALUES = (2, 1, 4, 3, 4, 2, 2)
@@ -82,11 +82,11 @@ def _finish(anomaly_count: int, args) -> int:
 def cmd_run(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    result = run(cfg)
-    write_trace_csv(result, os.path.join(args.out, "trace.csv"))
-    write_summary(result, os.path.join(args.out, "summary.txt"))
-    sys.stdout.write(summary_text(result))
-    return _finish(result.anomaly_count, args)
+    rounds = iter_rounds(cfg)
+    write_trace_csv(rounds, os.path.join(args.out, "trace.csv"))
+    write_summary(rounds, os.path.join(args.out, "summary.txt"))
+    sys.stdout.write(summary_text(rounds))
+    return _finish(rounds.anomaly_count, args)
 
 
 SWEEP_COLUMNS = ("n", "max_value", "q", "variant", "seed", "diameter", "rounds_run",
@@ -108,18 +108,20 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base, topology=spec, max_value=m, loss_q=q,
                                   variant=variant, seed=seed)
         try:
-            result = run(cfg)
+            rounds = iter_rounds(cfg)
+            for _ in rounds:
+                pass
         except PrimeTimeError as exc:
             rows.append((n, m, q, variant.value, seed, "", "", "", 0, "", "", str(exc)))
             continue
-        completion = result.completion_round
+        completion = rounds.completion_round
         rows.append((
-            n, m, q, variant.value, seed, result.diameter, len(result.traces),
+            n, m, q, variant.value, seed, rounds.diameter, rounds.rounds_run,
             completion if completion is not None else "never",
             1 if completion is not None else 0,
-            result.peak_message_bits, result.total_bits_transmitted, "",
+            rounds.peak_message_bits, rounds.total_bits_transmitted, "",
         ))
-        anomalies += result.anomaly_count
+        anomalies += rounds.anomaly_count
         if args.verbose:
             print(f"n={n} M={m} q={q} {variant.value} seed={seed}: "
                   f"completion={completion}")

@@ -152,8 +152,14 @@ def _strip(residue: int, p: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _factorize(message: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of `message` in ascending prime order."""
+def _factorize(message: int, max_exponent: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of `message` in ascending prime order.
+
+    Rejects the message from inside the cache, which keeps no rejected
+    message: CodecError for an unfactorable residue, else
+    ExponentRangeError for the smallest prime whose exponent exceeds
+    `max_exponent`.
+    """
     factors = []
     residue = message
     for b in range(_BLOCKS):
@@ -176,6 +182,11 @@ def _factorize(message: int) -> tuple[tuple[int, int], ...]:
             f"unfactorable residue of {residue.bit_length()} bits: "
             f"no prime factor within cap index {PRIME_CAP}"
         )
+    for p, exponent in factors:
+        if exponent > max_exponent:
+            raise ExponentRangeError(
+                f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
+            )
     return tuple(factors)
 
 
@@ -194,13 +205,7 @@ def decode(message: int, max_exponent: int) -> dict[int, int]:
     """
     if message < 1:
         raise CodecError(f"message must be >= 1, got {message}")
-    pairs = _factorize(message)
-    for p, exponent in pairs:
-        if exponent > max_exponent:
-            raise ExponentRangeError(
-                f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
-            )
-    return dict(pairs)
+    return dict(_factorize(message, max_exponent))
 
 
 def decimal(message: int) -> str:

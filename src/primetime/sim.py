@@ -7,6 +7,10 @@ the transmitted messages, so row k of a trace holds exactly the table and
 message an agent had at round k.  A table is recorded as the agent's
 running product, its encoding, so an unchanged table costs no copy.
 
+The engine is one generator loop: `iter_rounds` yields each round's trace
+as the round ends and keeps none, so a consumer that writes rows and keeps
+totals holds one round at a time; `run` collects the stream.
+
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Union
 
 from . import graph as graphmod
@@ -175,157 +180,203 @@ def completion_round(traces: list[RoundTrace]) -> int | None:
     return next((t.round_index for t in traces if t.complete()), None)
 
 
-def run(cfg: SimConfig) -> RunResult:
-    """Execute a full simulation.
+class Rounds:
+    """One run as a stream of rounds: iterating it runs the engine and
+    yields each round's RoundTrace as the round ends, keeping none.
 
-    Per round: apply scheduled churn, snapshot tables, form messages (a
-    leaver's goodbye replaces its normal transmission), deliver subject to
-    loss, merge receptions, then retire the leaver from the topology.  The
-    run settles at the first round s >= 1 past the last event whose
-    snapshot is complete with no goodbye relay pending; it stops after
-    round s + extra_rounds - 1, or at max_rounds.
+    Known before round 0: `config`, `initial_topology` and `diameter`.
+    Kept current as rounds end, and final once the stream is exhausted:
+    `topology`, `agent_primes`/`agent_values` (every agent present so far,
+    departed ones included) and the running totals `rounds_run`,
+    `completion_round`, `peak_message_bits`, `total_bits_transmitted` and
+    `anomaly_count`.  The engine runs once: iterating again resumes it.
     """
-    cfg.validate()
-    topology = cfg.topology.build(cfg.seed)
-    initial_topology = topology
-    diam = graphmod.diameter(topology)
-    max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * diam + 16
 
-    data_rng = random.Random(f"{cfg.seed}:data")
-    loss_rng = random.Random(f"{cfg.seed}:loss")
+    def __init__(self, cfg: SimConfig):
+        cfg.validate()
+        self.config = cfg
+        self.initial_topology = self.topology = cfg.topology.build(cfg.seed)
+        self.diameter = graphmod.diameter(self.topology)
 
-    agents: dict[int, AgentState] = {}
-    own_pairs: dict[int, tuple[int, int]] = {}  # one tuple per agent, shared by every trace
-    nodes = topology.nodes
-    if cfg.data_values is not None:
-        if len(cfg.data_values) != len(nodes):
-            raise ConfigError(
-                f"data_values: got {len(cfg.data_values)} values for {len(nodes)} nodes"
-            )
-        values = list(cfg.data_values)
-    else:
-        values = [data_rng.randint(1, cfg.max_value) for _ in nodes]
-    for index, (node, value) in enumerate(zip(nodes, values), 1):
-        if not 1 <= value <= cfg.max_value:
-            raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
-        agents[node] = make_agent(node, nth_prime(index), value, cfg.variant, cfg.max_value)
-        own_pairs[node] = (agents[node].own_prime, value)
+        nodes = self.topology.nodes
+        if cfg.data_values is not None:
+            if len(cfg.data_values) != len(nodes):
+                raise ConfigError(
+                    f"data_values: got {len(cfg.data_values)} values for {len(nodes)} nodes"
+                )
+            values = list(cfg.data_values)
+        else:
+            data_rng = random.Random(f"{cfg.seed}:data")
+            values = [data_rng.randint(1, cfg.max_value) for _ in nodes]
+        self._agents: dict[int, AgentState] = {}
+        self._own_pairs: dict[int, tuple[int, int]] = {}  # one tuple per agent, shared by every trace
+        for index, (node, value) in enumerate(zip(nodes, values), 1):
+            if not 1 <= value <= cfg.max_value:
+                raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
+            self._admit(make_agent(node, nth_prime(index), value, cfg.variant, cfg.max_value))
 
-    events_by_round = {e.round_index: e for e in cfg.events}
-    last_event_round = max(events_by_round, default=0)
-    forced_drops: dict[int, set[tuple[int, int]]] = {}
-    for r, src, dst in cfg.drop_schedule:
-        forced_drops.setdefault(r, set()).add((src, dst))
+        self.rounds_run = 0
+        self.completion_round: int | None = None
+        self.peak_message_bits = 0
+        self.total_bits_transmitted = 0
+        self.anomaly_count = 0
+        self._rounds = self._run()
 
-    traces: list[RoundTrace] = []
-    completion: int | None = None
-    last_round: int | None = None
+    def _admit(self, state: AgentState) -> None:
+        self._agents[state.agent_id] = state
+        self._own_pairs[state.agent_id] = (state.own_prime, state.own_value)
 
-    for k in range(max_rounds):
-        anomalies: list[str] = []
-        leaving: int | None = None
+    @property
+    def agent_primes(self) -> dict[int, int]:
+        return {i: a.own_prime for i, a in self._agents.items()}
 
-        event = events_by_round.get(k)
-        if isinstance(event, JoinEvent):
-            topology = topology.with_node_added(event.node, event.attach_to)
-            state = join(event.node, agents[min(event.attach_to)], event.value,
-                         cfg.variant, cfg.max_value)
-            # A sponsor whose table is incomplete can offer a prime in use.
-            holder = next((i for i in topology.nodes if i != event.node
-                           and agents[i].own_prime == state.own_prime), None)
-            if holder is not None:
-                anomalies.append(f"round {k}: agent {event.node} joined with prime "
-                                 f"{state.own_prime}, already held by agent {holder}")
-            agents[event.node] = state
-            own_pairs[event.node] = (state.own_prime, state.own_value)
-        elif isinstance(event, LeaveEvent):
-            if event.node not in topology.nodes:
-                raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
-            leaving = event.node
+    @property
+    def agent_values(self) -> dict[int, int]:
+        return {i: a.own_value for i, a in self._agents.items()}
 
-        present = topology.nodes
-        products = {i: agents[i].product for i in present}
-        table_sizes = {i: len(agents[i].table) for i in present}
-        active_pairs = {i: own_pairs[i] for i in present}
-        required = set(active_pairs.values())
-        completed = all(agents[i].table.items() >= required for i in present)
-        relaying = any(agents[i].goodbye_relay for i in present)
+    def __iter__(self) -> Iterator[RoundTrace]:
+        return self._rounds
 
-        messages: dict[int, int] = {}
-        for i in present:
-            if i == leaving:
-                messages[i] = leave(agents[i])
-            else:
-                messages[i] = form_message(agents[i])
+    def _run(self) -> Iterator[RoundTrace]:
+        """The round loop.
 
-        directed = topology.directed_edges
-        forced = forced_drops.get(k, set())
-        candidates = [e for e in directed if e not in forced]
-        delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
-        delivered_set = set(delivered)
-        dropped = [e for e in directed if e not in delivered_set]
+        Per round: apply scheduled churn, snapshot tables, form messages (a
+        leaver's goodbye replaces its normal transmission), deliver subject
+        to loss, merge receptions, then retire the leaver from the topology.
+        The run settles at the first round s >= 1 past the last event whose
+        snapshot is complete with no goodbye relay pending; it stops after
+        round s + extra_rounds - 1, or at max_rounds.
+        """
+        cfg = self.config
+        agents, own_pairs = self._agents, self._own_pairs
+        max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * self.diameter + 16
+        loss_rng = random.Random(f"{cfg.seed}:loss")
 
-        # The message 1 carries nothing; it is most incremental traffic.
-        senders_of: dict[int, list[int]] = {}
-        for sender, target in delivered:
-            if messages[sender] != 1:
-                senders_of.setdefault(target, []).append(sender)
-        for receiver in present:
-            for sender in senders_of.get(receiver, ()):
-                try:
-                    for note in receive_message(agents[receiver], messages[sender]):
+        events_by_round = {e.round_index: e for e in cfg.events}
+        last_event_round = max(events_by_round, default=0)
+        forced_drops: dict[int, set[tuple[int, int]]] = {}
+        for r, src, dst in cfg.drop_schedule:
+            forced_drops.setdefault(r, set()).add((src, dst))
+
+        last_round: int | None = None
+        for k in range(max_rounds):
+            anomalies: list[str] = []
+            leaving: int | None = None
+
+            event = events_by_round.get(k)
+            if isinstance(event, JoinEvent):
+                self.topology = self.topology.with_node_added(event.node, event.attach_to)
+                state = join(event.node, agents[min(event.attach_to)], event.value,
+                             cfg.variant, cfg.max_value)
+                # A sponsor whose table is incomplete can offer a prime in use.
+                holder = next((i for i in self.topology.nodes if i != event.node
+                               and agents[i].own_prime == state.own_prime), None)
+                if holder is not None:
+                    anomalies.append(f"round {k}: agent {event.node} joined with prime "
+                                     f"{state.own_prime}, already held by agent {holder}")
+                self._admit(state)
+            elif isinstance(event, LeaveEvent):
+                if event.node not in self.topology.nodes:
+                    raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
+                leaving = event.node
+
+            present = self.topology.nodes
+            products = {i: agents[i].product for i in present}
+            table_sizes = {i: len(agents[i].table) for i in present}
+            active_pairs = {i: own_pairs[i] for i in present}
+            required = set(active_pairs.values())
+            completed = all(agents[i].table.items() >= required for i in present)
+            relaying = any(agents[i].goodbye_relay for i in present)
+
+            messages: dict[int, int] = {}
+            for i in present:
+                if i == leaving:
+                    messages[i] = leave(agents[i])
+                else:
+                    messages[i] = form_message(agents[i])
+
+            directed = self.topology.directed_edges
+            forced = forced_drops.get(k, set())
+            candidates = [e for e in directed if e not in forced]
+            delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
+            delivered_set = set(delivered)
+            dropped = [e for e in directed if e not in delivered_set]
+
+            # The message 1 carries nothing; it is most incremental traffic.
+            senders_of: dict[int, list[int]] = {}
+            for sender, target in delivered:
+                if messages[sender] != 1:
+                    senders_of.setdefault(target, []).append(sender)
+            for receiver in present:
+                for sender in senders_of.get(receiver, ()):
+                    try:
+                        for note in receive_message(agents[receiver], messages[sender]):
+                            anomalies.append(
+                                f"round {k}: agent {receiver} <- agent {sender}: {note}"
+                            )
+                    except (ProtocolError, CodecError) as exc:
                         anomalies.append(
-                            f"round {k}: agent {receiver} <- agent {sender}: {note}"
+                            f"round {k}: agent {receiver} rejected message from {sender}: {exc}"
                         )
-                except (ProtocolError, CodecError) as exc:
+
+            if leaving is not None:
+                self.topology = self.topology.without_node(leaving)
+                if not self.topology.is_connected():
                     anomalies.append(
-                        f"round {k}: agent {receiver} rejected message from {sender}: {exc}"
+                        f"round {k}: leave of agent {leaving} disconnected the graph"
                     )
 
-        if leaving is not None:
-            topology = topology.without_node(leaving)
-            if not topology.is_connected():
-                anomalies.append(
-                    f"round {k}: leave of agent {leaving} disconnected the graph"
-                )
+            message_bits = {i: bit_length(m) for i, m in messages.items()}
+            self.rounds_run += 1
+            self.peak_message_bits = max(self.peak_message_bits,
+                                         max(message_bits.values(), default=0))
+            self.total_bits_transmitted += sum(message_bits.values())
+            self.anomaly_count += len(anomalies)
+            # Once settled, a run stays settled: after the last event no new
+            # sentinel can start, and only sentinels take pairs out of a table.
+            if last_round is None and completed:
+                if self.completion_round is None:
+                    self.completion_round = k
+                if k > last_event_round and not relaying:
+                    last_round = k + cfg.extra_rounds - 1
 
-        trace = RoundTrace(
-            round_index=k,
-            products=products,
-            table_sizes=table_sizes,
-            completed=completed,
-            max_value=cfg.max_value,
-            active_pairs=active_pairs,
-            messages=messages,
-            message_bits={i: bit_length(m) for i, m in messages.items()},
-            delivered=delivered,
-            dropped=dropped,
-            anomalies=anomalies,
-        )
-        traces.append(trace)
+            yield RoundTrace(
+                round_index=k,
+                products=products,
+                table_sizes=table_sizes,
+                completed=completed,
+                max_value=cfg.max_value,
+                active_pairs=active_pairs,
+                messages=messages,
+                message_bits=message_bits,
+                delivered=delivered,
+                dropped=dropped,
+                anomalies=anomalies,
+            )
+            if k == last_round:
+                return
 
-        # Once settled, a run stays settled: after the last event no new
-        # sentinel can start, and only sentinels take pairs out of a table.
-        if last_round is None and completed:
-            if completion is None:
-                completion = k
-            if k > last_event_round and not relaying:
-                last_round = k + cfg.extra_rounds - 1
-        if k == last_round:
-            break
 
-    all_bits = [b for t in traces for b in t.message_bits.values()]
+def iter_rounds(cfg: SimConfig) -> Rounds:
+    """Set up a run of `cfg` and return its stream of rounds."""
+    return Rounds(cfg)
+
+
+def run(cfg: SimConfig) -> RunResult:
+    """Execute a full simulation: the stream of `iter_rounds`, collected."""
+    rounds = iter_rounds(cfg)
+    traces = list(rounds)
     return RunResult(
         config=cfg,
-        initial_topology=initial_topology,
-        final_topology=topology,
+        initial_topology=rounds.initial_topology,
+        final_topology=rounds.topology,
         traces=traces,
-        agent_primes={i: a.own_prime for i, a in agents.items()},
-        agent_values={i: a.own_value for i, a in agents.items()},
-        diameter=diam,
-        completion_round=completion,
-        peak_message_bits=max(all_bits, default=0),
-        total_bits_transmitted=sum(all_bits),
+        agent_primes=rounds.agent_primes,
+        agent_values=rounds.agent_values,
+        diameter=rounds.diameter,
+        completion_round=rounds.completion_round,
+        peak_message_bits=rounds.peak_message_bits,
+        total_bits_transmitted=rounds.total_bits_transmitted,
     )
 
 
@@ -333,16 +384,30 @@ TRACE_COLUMNS = ("round", "agent", "prime", "message_decimal", "message_bits",
                  "table_size", "active")
 
 
-def trace_rows(result: RunResult) -> Iterator[tuple]:
-    """Flatten a run into (round, agent, ...) rows, one per round and agent.
+def trace_rows(rounds: Rounds) -> Iterator[tuple]:
+    """Flatten a run's stream into (round, agent, ...) rows, one per round
+    and agent ever present, as the rounds arrive.
 
     Agents absent from a round (departed or not yet joined) appear with
     active=0 and zeroed message fields, keeping the table rectangular.
+    Every row names the agent's final prime, and a join adds an agent (or
+    gives a reused id a new prime), so the rounds up to the last scheduled
+    join are held back until it has happened.
     """
-    all_agents = sorted(result.agent_primes)
-    for trace in result.traces:
+    last_join = max((e.round_index for e in rounds.config.events
+                     if isinstance(e, JoinEvent)), default=0)
+    held: list[RoundTrace] = []
+    for trace in rounds:
+        held.append(trace)
+        if trace.round_index >= last_join:
+            break
+    primes = rounds.agent_primes  # final: no join is left to run
+    all_agents = sorted(primes)
+    traces = chain(held, rounds)
+    del held  # so the held rounds go once their rows are out
+    for trace in traces:
         for agent in all_agents:
-            prime = result.agent_primes[agent]
+            prime = primes[agent]
             if agent in trace.messages:
                 yield (trace.round_index, agent, prime,
                        trace.messages[agent], trace.message_bits[agent],
@@ -351,22 +416,28 @@ def trace_rows(result: RunResult) -> Iterator[tuple]:
                 yield (trace.round_index, agent, prime, 0, 0, 0, 0)
 
 
-def write_trace_csv(result: RunResult, path) -> None:
-    """Write trace.csv: CSV with CRLF line ends, as the `csv` module writes
-    it, though no field ever needs quoting.  A message often repeats (the
-    full variant resends an unchanged table), so each distinct message is
-    converted to decimal once."""
-    decimals: dict[int, str] = {}
+def write_trace_csv(rounds: Rounds, path) -> None:
+    """Write trace.csv row by row as the stream runs: CSV with CRLF line
+    ends, as the `csv` module writes it, though no field ever needs quoting.
+    A message often repeats from one round to the next (the full variant
+    resends an unchanged table), so the decimal text of each message of the
+    previous round is kept for reuse, and only those."""
+    previous: dict[int, str] = {}
+    current: dict[int, str] = {}
+    current_round = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for round_index, agent, prime, message, bits, size, active in trace_rows(result):
-            text = decimals.get(message)
+        for round_index, agent, prime, message, bits, size, active in trace_rows(rounds):
+            if round_index != current_round:
+                current_round, previous, current = round_index, current, {}
+            text = current.get(message)
             if text is None:
-                text = decimals[message] = decimal(message)
+                text = current[message] = previous.get(message) or decimal(message)
             fh.write(f"{round_index},{agent},{prime},{text},{bits},{size},{active}\r\n")
 
 
-def summary_text(result: RunResult) -> str:
+def summary_text(result: Rounds | RunResult) -> str:
+    """summary.txt of a finished stream or run; both carry the same totals."""
     completion = result.completion_round
     lines = [
         f"completion_round = {completion if completion is not None else 'never'}",
@@ -377,6 +448,6 @@ def summary_text(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary(result: RunResult, path) -> None:
+def write_summary(result: Rounds | RunResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(summary_text(result))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from primetime import primes
-from primetime.errors import CodecError, PrimeCapError
+from primetime.errors import CodecError, ExponentRangeError, PrimeCapError
 from primetime.primes import (PRIME_CAP, bit_length, decimal, decode, encode,
                               first_primes, nth_prime, smallest_unused_prime)
 
@@ -265,3 +265,18 @@ def test_decode_huge_exponent_costs_few_divisions(prime, exponent, cofactor):
         decode(message, max_exponent=9)
     assert perf_counter() - start < 0.5
     assert str(raised.value) == f"exponent out of range: {prime}**{exponent} exceeds bound 9"
+
+
+def test_rejected_messages_leave_nothing_in_the_decode_cache():
+    # one peer could otherwise pin up to 4096 huge rejected messages
+    primes._factorize.cache_clear()
+    for k in range(200):
+        with pytest.raises(ExponentRangeError) as raised:
+            decode(2**100_000 * 3**k, max_exponent=9)
+        assert str(raised.value) == "exponent out of range: 2**100000 exceeds bound 9"
+    with pytest.raises(CodecError, match="unfactorable residue"):
+        decode(1_000_003 * 4, max_exponent=9)
+    assert primes._factorize.cache_info().currsize == 0
+    assert decode(2**9 * 3, max_exponent=9) == {2: 9, 3: 1}
+    assert primes._factorize.cache_info().currsize == 1
+    primes._factorize.cache_clear()

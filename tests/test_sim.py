@@ -13,7 +13,7 @@ from primetime.errors import ConfigError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
 from primetime.protocol import Variant, form_message
 from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
-                           apply_loss, completion_round, run, summary_text,
+                           apply_loss, completion_round, iter_rounds, run, summary_text,
                            trace_rows, write_summary, write_trace_csv)
 
 
@@ -84,9 +84,9 @@ def test_run_determinism():
 def test_trace_files_byte_identical(tmp_path):
     cfg = config(loss_q=0.2, seed=3)
     for name in ("a", "b"):
-        result = run(cfg)
-        write_trace_csv(result, tmp_path / f"{name}.csv")
-        write_summary(result, tmp_path / f"{name}.txt")
+        rounds = iter_rounds(cfg)
+        write_trace_csv(rounds, tmp_path / f"{name}.csv")
+        write_summary(rounds, tmp_path / f"{name}.txt")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
@@ -101,8 +101,7 @@ def test_summary_fields_and_order():
 
 
 def test_trace_row_format():
-    result = run(config(data_values=(1, 2, 3)))
-    rows = trace_rows(result)
+    rows = trace_rows(iter_rounds(config(data_values=(1, 2, 3))))
     # round 0: each agent sends its own pair, table size 1
     first = [r for r in rows if r[0] == 0]
     assert first == [
@@ -115,17 +114,17 @@ def test_trace_row_format():
 def test_trace_csv_writes_messages_past_the_str_digit_limit(tmp_path):
     # ten agents at value M = 1000 make a 33 kbit table, about 9,800 digits,
     # past the 4,300 that str() converts by default
-    result = run(config(topology=TopologySpec(family="complete", n=10), max_value=1000,
-                        data_values=(1000,) * 10))
-    assert result.peak_message_bits > 4300 * 3.33
-    write_trace_csv(result, tmp_path / "trace.csv")
+    cfg = config(topology=TopologySpec(family="complete", n=10), max_value=1000,
+                 data_values=(1000,) * 10)
+    assert run(cfg).peak_message_bits > 4300 * 3.33
+    write_trace_csv(iter_rounds(cfg), tmp_path / "trace.csv")
     expected = io.StringIO(newline="")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         writer = csv.writer(expected)
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace_rows(result))
+        writer.writerows(trace_rows(iter_rounds(cfg)))
     finally:
         sys.set_int_max_str_digits(limit)
     assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()

@@ -1,0 +1,229 @@
+"""The CLI writers consume the round stream and keep no list of rounds.
+
+The reference writers below are the whole-run writers the CLI used before
+it streamed, fed from `run(cfg)`; the streaming CLI must write the same
+bytes.
+"""
+import csv
+import dataclasses
+import gc
+import io
+import tracemalloc
+
+import pytest
+
+from primetime.analysis import tabular_bits
+from primetime.cli import SWEEP_COLUMNS, main
+from primetime.config import load_config, load_sweep
+from primetime.errors import PrimeTimeError
+from primetime.primes import decode
+from primetime.protocol import Variant
+from primetime.sim import TRACE_COLUMNS, TopologySpec, iter_rounds, run
+
+# Loss, forced drops, a leave, a join, and agent 3 rejoining under its old
+# id with a new prime.  The sweep's n = 3 points fail mid-run: the join
+# attaches to node 4, which a 3-cycle lacks.
+CHURN = """
+[topology]
+family = cycle
+n = 8
+
+[loss]
+mode = bernoulli
+q = 0.15
+drops = 1:1>2 2:2>3 5:4>5
+
+[events]
+schedule =
+    3 leave 3
+    9 join 9 2,4 2
+    15 join 3 4 1
+    21 leave 6
+
+[sim]
+seed = 4
+max_rounds = {max_rounds}
+
+[sweep]
+n = 3 8
+q = 0 0.15
+variant = primetime incremental
+seeds = 0..2
+"""
+
+LOSSY = """
+[topology]
+family = random_connected
+n = 12
+p = 0.3
+
+[protocol]
+max_value = 6
+
+[loss]
+mode = bernoulli
+q = 0.3
+drops = 0:1>2 0:2>1
+
+[sim]
+seed = 2
+"""
+
+CONFIGS = {
+    "churn": CHURN.format(max_rounds=60),
+    # stops before the last join, so the held-back rounds go out at the end
+    "churn_cut_before_last_join": CHURN.format(max_rounds=12),
+    "lossy_without_events": LOSSY,
+}
+
+
+def reference_trace_csv(result) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(TRACE_COLUMNS)
+    all_agents = sorted(result.agent_primes)
+    for trace in result.traces:
+        for agent in all_agents:
+            prime = result.agent_primes[agent]
+            if agent in trace.messages:
+                writer.writerow((trace.round_index, agent, prime, trace.messages[agent],
+                                 trace.message_bits[agent], trace.table_sizes[agent], 1))
+            else:
+                writer.writerow((trace.round_index, agent, prime, 0, 0, 0, 0))
+    return buffer.getvalue().encode()
+
+
+def reference_summary(result) -> str:
+    completion = result.completion_round
+    return (f"completion_round = {completion if completion is not None else 'never'}\n"
+            f"diameter = {result.diameter}\n"
+            f"peak_message_bits = {result.peak_message_bits}\n"
+            f"total_bits_transmitted = {result.total_bits_transmitted}\n")
+
+
+def reference_size_report(result) -> bytes:
+    cfg = result.config
+    n_max = cfg.n_max if cfg.n_max is not None else len(result.agent_primes)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(("n", "M", "round", "agent", "primetime_bits", "tabular_bits"))
+    for trace in result.traces:
+        for agent in sorted(trace.messages):
+            pairs = decode(trace.messages[agent], max_exponent=2 * cfg.max_value + 1)
+            writer.writerow((len(result.initial_topology.nodes), cfg.max_value,
+                             trace.round_index, agent, trace.message_bits[agent],
+                             tabular_bits(len(pairs), n_max, cfg.max_value)))
+    return buffer.getvalue().encode()
+
+
+def reference_sweep(path) -> tuple[bytes, int]:
+    base, grid = load_sweep(path)
+    rows, anomalies = [], 0
+    for n, m, q, variant, seed in grid.points():
+        spec = TopologySpec(family=base.topology.family, n=n, p=base.topology.p)
+        cfg = dataclasses.replace(base, topology=spec, max_value=m, loss_q=q,
+                                  variant=variant, seed=seed)
+        try:
+            result = run(cfg)
+        except PrimeTimeError as exc:
+            rows.append((n, m, q, variant.value, seed, "", "", "", 0, "", "", str(exc)))
+            continue
+        completion = result.completion_round
+        rows.append((n, m, q, variant.value, seed, result.diameter, len(result.traces),
+                     completion if completion is not None else "never",
+                     1 if completion is not None else 0,
+                     result.peak_message_bits, result.total_bits_transmitted, ""))
+        anomalies += result.anomaly_count
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows(rows)
+    return buffer.getvalue().encode(), anomalies
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("name", CONFIGS)
+def test_run_and_compare_size_match_the_whole_run_writers(tmp_path, capsys, name, variant):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIGS[name])
+    result = run(dataclasses.replace(load_config(path), variant=Variant(variant)))
+    out = tmp_path / "out"
+    argv = ["--config", str(path), "--out", str(out), "--variant", variant, "--strict"]
+    strict_code = 3 if result.anomaly_count else 0
+
+    assert main(["run", *argv]) == strict_code
+    assert (out / "trace.csv").read_bytes() == reference_trace_csv(result)
+    assert (out / "summary.txt").read_text() == reference_summary(result)
+    assert capsys.readouterr().out == reference_summary(result)
+
+    assert main(["compare-size", *argv]) == strict_code
+    assert (out / "size_report.csv").read_bytes() == reference_size_report(result)
+
+
+def test_sweep_matches_the_whole_run_rows(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIGS["churn"])
+    expected, anomalies = reference_sweep(path)
+    assert b"unknown node in edge 4-9" in expected  # the n = 3 points fail mid-run
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(path), "--out", str(out), "--strict"])
+    assert code == (3 if anomalies else 0)
+    assert (out / "sweep.csv").read_bytes() == expected
+
+
+def test_run_facts_are_known_before_round_0_and_final_after_the_last(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIGS["churn"])
+    cfg = load_config(path)
+    result = run(cfg)
+    rounds = iter_rounds(cfg)
+    assert (rounds.diameter, rounds.initial_topology) == (result.diameter,
+                                                         result.initial_topology)
+    assert rounds.rounds_run == 0
+    for trace in rounds:
+        assert rounds.rounds_run == trace.round_index + 1
+    assert rounds.rounds_run == len(result.traces)
+    assert rounds.agent_primes == result.agent_primes
+    assert rounds.agent_values == result.agent_values
+    assert rounds.topology == result.final_topology
+    assert rounds.completion_round == result.completion_round
+    assert rounds.anomaly_count == result.anomaly_count
+
+
+LONG_RUN = """
+[topology]
+family = path
+n = 32
+
+[sim]
+max_rounds = 1000
+extra_rounds = {extra}
+
+[sweep]
+seeds = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_memory_does_not_grow_with_the_round_count(tmp_path, capsys, command):
+    # Keeping every round's trace let this peak grow from 0.5 MB at 20 extra
+    # rounds to 3.5 MB at 400.
+    configs = {}
+    for extra in (20, 400):
+        configs[extra] = tmp_path / f"extra{extra}.ini"
+        configs[extra].write_text(LONG_RUN.format(extra=extra))
+
+    def peak(extra, out):
+        gc.collect()  # the previous command's cyclic garbage, such as its parser
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert main([command, "--config", str(configs[extra]), "--out", str(tmp_path / out)]) == 0
+        return tracemalloc.get_traced_memory()[1] - held
+
+    tracemalloc.start()
+    try:
+        peak(20, "warm")  # fills the codec's caches
+        short, long = peak(20, "short"), peak(400, "long")
+    finally:
+        tracemalloc.stop()
+    assert long - short < 100_000, (short, long)
