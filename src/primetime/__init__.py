@@ -14,17 +14,17 @@ from .errors import (CodecError, ConfigError, ExponentRangeError, GraphError,
 from .graph import Topology, bfs_distances, diameter, eccentricity, generate, hop_sets
 from .primes import bit_length, decode, encode, nth_prime
 from .protocol import AgentState, Variant, form_message, join, leave, receive_message
-from .sim import (JoinEvent, LeaveEvent, Rounds, RoundTrace, RunResult, SimConfig,
-                  TopologySpec, apply_loss, completion_round, iter_rounds, run)
+from .sim import (JoinEvent, LeaveEvent, Rounds, RoundTrace, SimConfig, TopologySpec,
+                  apply_loss, iter_rounds, run)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentState", "CodecError", "ConfigError", "ExponentRangeError", "GraphError",
     "JoinEvent", "LeaveEvent", "PrimeCapError", "PrimeTimeError",
-    "ProtocolError", "RoundTrace", "Rounds", "RunResult", "SimConfig", "Topology",
+    "ProtocolError", "RoundTrace", "Rounds", "SimConfig", "Topology",
     "TopologySpec", "Variant", "apply_loss", "bfs_distances", "bit_length",
-    "completion_round", "decode", "diameter", "eccentricity", "encode",
+    "decode", "diameter", "eccentricity", "encode",
     "form_message", "generate", "hop_sets", "iter_rounds", "join", "leave", "nth_prime",
     "receive_message", "run",
 ]

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import graph as graphmod
 from .primes import bit_length, decimal, decode, encode, first_primes
 from .protocol import Variant
-from .sim import RunResult, SimConfig
+from .sim import Rounds, SimConfig
 
 
 def ceil_log2(x: int) -> int:
@@ -64,7 +64,7 @@ def require_closed_lossless(cfg: SimConfig, check: str) -> None:
                          "(no loss, forced drops or events)")
 
 
-def check_diameter_completion(result: RunResult) -> CheckVerdict:
+def check_diameter_completion(result: Rounds) -> CheckVerdict:
     """Completion must land exactly on the diameter: complete at d, and for
     d >= 1 at least one table still incomplete at d - 1."""
     require_closed_lossless(result.config, "check_diameter_completion")
@@ -76,7 +76,7 @@ def check_diameter_completion(result: RunResult) -> CheckVerdict:
             detail=f"completion_round {observed} != diameter {d}",
             counterexample={"completion_round": observed, "diameter": d},
         )
-    if d >= 1 and result.traces[d - 1].complete():
+    if d >= 1 and result.traces[d - 1].complete:
         return CheckVerdict(
             "diameter_completion", False,
             detail=f"all tables already complete at round {d - 1}",
@@ -85,14 +85,14 @@ def check_diameter_completion(result: RunResult) -> CheckVerdict:
     return CheckVerdict("diameter_completion", True, detail=f"complete at d={d}, incomplete before")
 
 
-def check_hop_equations(result: RunResult) -> CheckVerdict:
+def check_hop_equations(result: Rounds) -> CheckVerdict:
     """Every recorded message must equal the hop-set product from the BFS
     oracle: inclusive sets for the full variant, exclusive for incremental
     (whose sets empty out past each node's eccentricity, giving message 1)."""
     require_closed_lossless(result.config, "check_hop_equations")
     topology = result.initial_topology
-    pair_of = {i: (result.agent_primes[i], result.agent_values[i])
-               for i in topology.nodes}
+    primes, values = result.agent_primes, result.agent_values
+    pair_of = {i: (primes[i], values[i]) for i in topology.nodes}
     incremental = result.config.variant is Variant.INCREMENTAL
     # Each agent's nodes by hop distance, once: the ring at hop d is
     # order[i][start[i][d]:start[i][d + 1]], and hops 0..d are a prefix.
@@ -152,7 +152,7 @@ def steady_state_growth(n_values: Sequence[int], max_value: int) -> list[GrowthR
 SIZE_REPORT_COLUMNS = ("n", "M", "round", "agent", "primetime_bits", "tabular_bits")
 
 
-def size_report_rows(result: RunResult) -> list[tuple]:
+def size_report_rows(result: Rounds) -> list[tuple]:
     """Per-transmission size comparison rows for one run.
 
     The pair count behind each tabular row is recovered from the traced
@@ -168,13 +168,13 @@ def size_report_rows(result: RunResult) -> list[tuple]:
             rows.append((
                 len(result.initial_topology.nodes), cfg.max_value,
                 trace.round_index, agent,
-                trace.message_bits[agent],
+                message.bit_length(),
                 tabular_bits(pair_count, n_max, cfg.max_value),
             ))
     return rows
 
 
-def write_size_report_csv(result: RunResult, path) -> None:
+def write_size_report_csv(result: Rounds, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SIZE_REPORT_COLUMNS)

@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PrimeTimeError as exc:
+    except (PrimeTimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

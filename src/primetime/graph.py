@@ -11,7 +11,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable
 
-from .errors import GraphError
+from .errors import ConfigError, GraphError
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_connected")
 _MAX_REDRAWS = 10_000
@@ -209,5 +209,9 @@ def read_edge_list(text: str) -> Topology:
 
 
 def load_edge_list(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_edge_list(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read edge list {path}: {exc}") from exc
+    return read_edge_list(text)

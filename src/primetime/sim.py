@@ -9,7 +9,8 @@ running product, its encoding, so an unchanged table costs no copy.
 
 The engine is one generator loop: `iter_rounds` yields each round's trace
 as the round ends and keeps none, so a consumer that writes rows and keeps
-totals holds one round at a time; `run` collects the stream.
+totals holds one round at a time; `run` drains the stream and keeps its
+rounds.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
@@ -25,7 +26,7 @@ from typing import Iterator, Union
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, ProtocolError
 from .graph import Topology
-from .primes import bit_length, decimal, decode, nth_prime
+from .primes import decimal, decode, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
                        make_agent, receive_message)
 
@@ -115,15 +116,17 @@ class RoundTrace:
     product is an immutable int, so an agent whose table did not change
     shares one object with the previous round, and under the full variant
     with its message.  `tables` decodes them on first use.
+
+    `complete` is the completion predicate: every present agent's
+    start-of-round table held every present agent's pair.  The engine
+    evaluates it on the live tables when it takes the snapshot.
     """
     round_index: int
     products: dict[int, int]  # start-of-round table encodings, present agents only
     table_sizes: dict[int, int]
-    completed: bool  # see complete()
+    complete: bool
     max_value: int
-    active_pairs: dict[int, tuple[int, int]]  # agent -> (own prime, own value)
     messages: dict[int, int]
-    message_bits: dict[int, int]
     delivered: list[tuple[int, int]]
     dropped: list[tuple[int, int]]
     anomalies: list[str] = field(default_factory=list)
@@ -138,30 +141,6 @@ class RoundTrace:
         """Messages delivered to `receiver` this round, keyed by sender."""
         return {s: self.messages[s] for s, r in self.delivered if r == receiver}
 
-    def complete(self) -> bool:
-        """The completion predicate: every present agent's start-of-round
-        table held every active agent's pair.  The engine evaluates it on
-        the live tables when it takes the snapshot."""
-        return self.completed
-
-
-@dataclass
-class RunResult:
-    config: SimConfig
-    initial_topology: Topology
-    final_topology: Topology
-    traces: list[RoundTrace]
-    agent_primes: dict[int, int]  # every agent ever present, including departed
-    agent_values: dict[int, int]
-    diameter: int
-    completion_round: int | None
-    peak_message_bits: int
-    total_bits_transmitted: int
-
-    @property
-    def anomaly_count(self) -> int:
-        return sum(len(t.anomalies) for t in self.traces)
-
 
 def apply_loss(edges: list[tuple[int, int]], q: float,
                rng: random.Random) -> list[tuple[int, int]]:
@@ -175,11 +154,6 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
     return [e for e in edges if rng.random() >= q]
 
 
-def completion_round(traces: list[RoundTrace]) -> int | None:
-    """First round whose snapshot is complete; None if never observed."""
-    return next((t.round_index for t in traces if t.complete()), None)
-
-
 class Rounds:
     """One run as a stream of rounds: iterating it runs the engine and
     yields each round's RoundTrace as the round ends, keeping none.
@@ -190,7 +164,9 @@ class Rounds:
     departed ones included) and the running totals `rounds_run`,
     `completion_round`, `peak_message_bits`, `total_bits_transmitted` and
     `anomaly_count`.  The engine runs once: iterating again resumes it.
+    `run` drains the stream and keeps its rounds in `traces`.
     """
+    traces: list[RoundTrace]
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -209,11 +185,11 @@ class Rounds:
             data_rng = random.Random(f"{cfg.seed}:data")
             values = [data_rng.randint(1, cfg.max_value) for _ in nodes]
         self._agents: dict[int, AgentState] = {}
-        self._own_pairs: dict[int, tuple[int, int]] = {}  # one tuple per agent, shared by every trace
         for index, (node, value) in enumerate(zip(nodes, values), 1):
             if not 1 <= value <= cfg.max_value:
                 raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
-            self._admit(make_agent(node, nth_prime(index), value, cfg.variant, cfg.max_value))
+            self._agents[node] = make_agent(node, nth_prime(index), value, cfg.variant,
+                                            cfg.max_value)
 
         self.rounds_run = 0
         self.completion_round: int | None = None
@@ -221,10 +197,6 @@ class Rounds:
         self.total_bits_transmitted = 0
         self.anomaly_count = 0
         self._rounds = self._run()
-
-    def _admit(self, state: AgentState) -> None:
-        self._agents[state.agent_id] = state
-        self._own_pairs[state.agent_id] = (state.own_prime, state.own_value)
 
     @property
     def agent_primes(self) -> dict[int, int]:
@@ -248,7 +220,7 @@ class Rounds:
         round s + extra_rounds - 1, or at max_rounds.
         """
         cfg = self.config
-        agents, own_pairs = self._agents, self._own_pairs
+        agents = self._agents
         max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * self.diameter + 16
         loss_rng = random.Random(f"{cfg.seed}:loss")
 
@@ -274,7 +246,7 @@ class Rounds:
                 if holder is not None:
                     anomalies.append(f"round {k}: agent {event.node} joined with prime "
                                      f"{state.own_prime}, already held by agent {holder}")
-                self._admit(state)
+                agents[event.node] = state
             elif isinstance(event, LeaveEvent):
                 if event.node not in self.topology.nodes:
                     raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
@@ -283,9 +255,8 @@ class Rounds:
             present = self.topology.nodes
             products = {i: agents[i].product for i in present}
             table_sizes = {i: len(agents[i].table) for i in present}
-            active_pairs = {i: own_pairs[i] for i in present}
-            required = set(active_pairs.values())
-            completed = all(agents[i].table.items() >= required for i in present)
+            required = {(agents[i].own_prime, agents[i].own_value) for i in present}
+            complete = all(agents[i].table.items() >= required for i in present)
             relaying = any(agents[i].goodbye_relay for i in present)
 
             messages: dict[int, int] = {}
@@ -326,15 +297,14 @@ class Rounds:
                         f"round {k}: leave of agent {leaving} disconnected the graph"
                     )
 
-            message_bits = {i: bit_length(m) for i, m in messages.items()}
+            bits = [m.bit_length() for m in messages.values()]
             self.rounds_run += 1
-            self.peak_message_bits = max(self.peak_message_bits,
-                                         max(message_bits.values(), default=0))
-            self.total_bits_transmitted += sum(message_bits.values())
+            self.peak_message_bits = max(self.peak_message_bits, max(bits, default=0))
+            self.total_bits_transmitted += sum(bits)
             self.anomaly_count += len(anomalies)
             # Once settled, a run stays settled: after the last event no new
             # sentinel can start, and only sentinels take pairs out of a table.
-            if last_round is None and completed:
+            if last_round is None and complete:
                 if self.completion_round is None:
                     self.completion_round = k
                 if k > last_event_round and not relaying:
@@ -344,11 +314,9 @@ class Rounds:
                 round_index=k,
                 products=products,
                 table_sizes=table_sizes,
-                completed=completed,
+                complete=complete,
                 max_value=cfg.max_value,
-                active_pairs=active_pairs,
                 messages=messages,
-                message_bits=message_bits,
                 delivered=delivered,
                 dropped=dropped,
                 anomalies=anomalies,
@@ -362,22 +330,12 @@ def iter_rounds(cfg: SimConfig) -> Rounds:
     return Rounds(cfg)
 
 
-def run(cfg: SimConfig) -> RunResult:
-    """Execute a full simulation: the stream of `iter_rounds`, collected."""
+def run(cfg: SimConfig) -> Rounds:
+    """Execute a full simulation: the stream of `iter_rounds`, drained, with
+    its rounds kept in `traces`."""
     rounds = iter_rounds(cfg)
-    traces = list(rounds)
-    return RunResult(
-        config=cfg,
-        initial_topology=rounds.initial_topology,
-        final_topology=rounds.topology,
-        traces=traces,
-        agent_primes=rounds.agent_primes,
-        agent_values=rounds.agent_values,
-        diameter=rounds.diameter,
-        completion_round=rounds.completion_round,
-        peak_message_bits=rounds.peak_message_bits,
-        total_bits_transmitted=rounds.total_bits_transmitted,
-    )
+    rounds.traces = list(rounds)
+    return rounds
 
 
 TRACE_COLUMNS = ("round", "agent", "prime", "message_decimal", "message_bits",
@@ -408,9 +366,9 @@ def trace_rows(rounds: Rounds) -> Iterator[tuple]:
     for trace in traces:
         for agent in all_agents:
             prime = primes[agent]
-            if agent in trace.messages:
-                yield (trace.round_index, agent, prime,
-                       trace.messages[agent], trace.message_bits[agent],
+            message = trace.messages.get(agent)
+            if message is not None:
+                yield (trace.round_index, agent, prime, message, message.bit_length(),
                        trace.table_sizes[agent], 1)
             else:
                 yield (trace.round_index, agent, prime, 0, 0, 0, 0)
@@ -436,18 +394,18 @@ def write_trace_csv(rounds: Rounds, path) -> None:
             fh.write(f"{round_index},{agent},{prime},{text},{bits},{size},{active}\r\n")
 
 
-def summary_text(result: Rounds | RunResult) -> str:
-    """summary.txt of a finished stream or run; both carry the same totals."""
-    completion = result.completion_round
+def summary_text(rounds: Rounds) -> str:
+    """summary.txt of a finished stream, from its totals."""
+    completion = rounds.completion_round
     lines = [
         f"completion_round = {completion if completion is not None else 'never'}",
-        f"diameter = {result.diameter}",
-        f"peak_message_bits = {result.peak_message_bits}",
-        f"total_bits_transmitted = {result.total_bits_transmitted}",
+        f"diameter = {rounds.diameter}",
+        f"peak_message_bits = {rounds.peak_message_bits}",
+        f"total_bits_transmitted = {rounds.total_bits_transmitted}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def write_summary(result: Rounds | RunResult, path) -> None:
+def write_summary(rounds: Rounds, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary_text(result))
+        fh.write(summary_text(rounds))

@@ -12,6 +12,8 @@ from primetime import cli
 from primetime.cli import DEMO_MAX_VALUE, DEMO_VALUES, build_parser, demo, main
 from primetime.primes import encode, first_primes
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
+BUNDLED_CONFIGS = ["path8.ini", "lossy_path8.ini", "churn_cycle10.ini", "sweep_robustness.ini"]
 
 BASIC = """
 [topology]
@@ -76,12 +78,44 @@ def test_removed_flags_rejected(argv):
 
 
 def test_readme_commands_parse():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = REPO / "README.md"
     commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
                 if line.startswith("primetime ")]
     assert {argv[0] for argv in commands} == {"run", "sweep", "check", "compare-size", "demo"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def readme_argv(command, out, config=None):
+    """The README's first `primetime <command>` line, writing to `out`, on
+    the bundled config `config` (by default the one the README names)."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    argv = next(shlex.split(line)[1:] for line in lines
+                if line.startswith("primetime ") and shlex.split(line)[1] == command)
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(out)
+        i = argv.index("--config") + 1
+        argv[i] = str(REPO / "configs" / config) if config else str(REPO / argv[i])
+    return argv
+
+
+@pytest.mark.parametrize("config", BUNDLED_CONFIGS)
+@pytest.mark.parametrize("command", ["run", "check", "compare-size"])
+def test_readme_commands_run_on_the_bundled_configs(tmp_path, capsys, command, config):
+    assert sorted(BUNDLED_CONFIGS) == sorted(p.name for p in (REPO / "configs").glob("*.ini"))
+    # check takes only a loss-free closed graph: path8 is the one bundled
+    expected = 2 if command == "check" and config != "path8.ini" else 0
+    assert main(readme_argv(command, tmp_path / "out", config)) == expected
+
+
+def test_readme_sweep_and_demo_commands_run(tmp_path, capsys):
+    assert main(readme_argv("sweep", tmp_path / "out")) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=8 M=4 q=0.3 incremental: 0/20 completed (rate 0.000)",
+        "n=8 M=4 q=0.3 primetime: 20/20 completed (rate 1.000)",
+    ]
+    assert main(readme_argv("demo", tmp_path / "out")) == 0
+    assert "demo graph" in capsys.readouterr().out
 
 
 def test_seed_and_variant_overrides(tmp_path):
@@ -285,6 +319,37 @@ def test_unexpected_graph_failure_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, "[topology]\nedge_file = g.txt\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "1 2\n# caf\xe9\n".encode("latin-1")],
+                         ids=["missing", "not_utf8"])
+def test_unreadable_edge_file_exits_2(tmp_path, capsys, content):
+    if content is not None:
+        (tmp_path / "g.txt").write_bytes(content)
+    cfg = write_config(tmp_path, "[topology]\nedge_file = g.txt\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (f"config error: cannot read edge list {tmp_path / 'g.txt'}: "
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "check", "compare-size"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASIC + "\n[sweep]\nseeds = 0\n")
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno 17] File exists: '{out}'")
+
+
+def test_run_that_fails_part_way_keeps_the_rows_so_far(tmp_path):
+    cfg = write_config(tmp_path, BASIC + "\n[events]\nschedule =\n    3 leave 9\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "round,agent,prime,message_decimal,message_bits,table_size,active"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(k), str(agent)] for k in range(3) for agent in range(1, 5)]
+    assert not (out / "summary.txt").exists()
 
 
 def test_trace_bits_match_recorded_decimal(tmp_path):

@@ -115,6 +115,13 @@ def test_missing_file_is_config_error(tmp_path):
         load_config(tmp_path / "absent.ini")
 
 
+def test_non_utf8_file_is_config_error(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(MINIMAL.encode() + "# caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config .*utf-8"):
+        load_config(path)
+
+
 def test_two_events_same_round_rejected(tmp_path):
     with pytest.raises(ConfigError, match="one join or leave per round"):
         load_config(write(tmp_path, MINIMAL + """

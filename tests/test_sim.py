@@ -13,7 +13,7 @@ from primetime.errors import ConfigError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
 from primetime.protocol import Variant, form_message
 from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
-                           apply_loss, completion_round, iter_rounds, run, summary_text,
+                           apply_loss, iter_rounds, run, summary_text,
                            trace_rows, write_summary, write_trace_csv)
 
 
@@ -228,12 +228,6 @@ def test_forced_drop_starves_incremental_but_not_primetime():
     assert flooded.completion_round == 3  # one round late on the damaged edge
 
 
-def test_completion_round_of_truncated_traces():
-    result = run(config())
-    assert completion_round(result.traces[:2]) is None
-    assert completion_round(result.traces) == 2
-
-
 def test_join_floods_to_everyone():
     spec = TopologySpec(family="cycle", n=6)
     join_round = 6
@@ -260,7 +254,7 @@ def test_leave_removes_pair_everywhere():
         assert 4 not in final.tables
         for agent, table in final.tables.items():
             assert departed_prime not in table
-        assert 4 not in result.final_topology.nodes
+        assert 4 not in result.topology.nodes
 
 
 def test_leaver_keeps_receiving_nothing():
@@ -283,13 +277,13 @@ def test_join_after_leave_skips_the_departed_prime():
         assert result.agent_primes[7] == 17
         final = result.traces[-1]
         assert all((17, 2) in table.items() for table in final.tables.values())
-        assert final.complete() == (variant is Variant.PRIMETIME)
+        assert final.complete == (variant is Variant.PRIMETIME)
 
 
 def test_join_after_disconnecting_leave_runs_on():
     result = run(config(topology=TopologySpec(family="path", n=4),
                         events=(LeaveEvent(0, 2), JoinEvent(1, 5, (1,), 1))))
-    assert result.final_topology.nodes == (1, 3, 4, 5)
+    assert result.topology.nodes == (1, 3, 4, 5)
     assert "round 0: leave of agent 2 disconnected the graph" in result.traces[0].anomalies
 
 
@@ -344,12 +338,15 @@ def test_stop_rule_pins_rounds_run_and_completion(cfg, expected):
     assert (len(result.traces), result.completion_round) == expected
 
 
-def first_complete_round(traces):
-    """The completion predicate read directly: every active table, as a set
-    of pairs, contains the set of active pairs."""
-    for trace in traces:
-        required = set(trace.active_pairs.values())
-        if all(required <= set(trace.tables[i].items()) for i in trace.active_pairs):
+def first_complete_round(result):
+    """The completion predicate read directly: every present agent's table,
+    as a set of pairs, contains the pairs of every present agent.  Reading
+    the pairs from `agent_primes`/`agent_values` is exact as long as no id is
+    reused, which `small_configs` ensures."""
+    primes, values = result.agent_primes, result.agent_values
+    for trace in result.traces:
+        required = {(primes[i], values[i]) for i in trace.products}
+        if all(required <= set(trace.tables[i].items()) for i in trace.products):
             return trace.round_index
     return None
 
@@ -385,4 +382,4 @@ def small_configs(draw):
 @given(small_configs())
 def test_completion_round_matches_set_predicate(cfg):
     result = run(cfg)
-    assert result.completion_round == first_complete_round(result.traces)
+    assert result.completion_round == first_complete_round(result)

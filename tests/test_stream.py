@@ -86,8 +86,9 @@ def reference_trace_csv(result) -> bytes:
         for agent in all_agents:
             prime = result.agent_primes[agent]
             if agent in trace.messages:
-                writer.writerow((trace.round_index, agent, prime, trace.messages[agent],
-                                 trace.message_bits[agent], trace.table_sizes[agent], 1))
+                message = trace.messages[agent]
+                writer.writerow((trace.round_index, agent, prime, message,
+                                 message.bit_length(), trace.table_sizes[agent], 1))
             else:
                 writer.writerow((trace.round_index, agent, prime, 0, 0, 0, 0))
     return buffer.getvalue().encode()
@@ -109,9 +110,10 @@ def reference_size_report(result) -> bytes:
     writer.writerow(("n", "M", "round", "agent", "primetime_bits", "tabular_bits"))
     for trace in result.traces:
         for agent in sorted(trace.messages):
-            pairs = decode(trace.messages[agent], max_exponent=2 * cfg.max_value + 1)
+            message = trace.messages[agent]
+            pairs = decode(message, max_exponent=2 * cfg.max_value + 1)
             writer.writerow((len(result.initial_topology.nodes), cfg.max_value,
-                             trace.round_index, agent, trace.message_bits[agent],
+                             trace.round_index, agent, message.bit_length(),
                              tabular_bits(len(pairs), n_max, cfg.max_value)))
     return buffer.getvalue().encode()
 
@@ -185,9 +187,13 @@ def test_run_facts_are_known_before_round_0_and_final_after_the_last(tmp_path):
     assert rounds.rounds_run == len(result.traces)
     assert rounds.agent_primes == result.agent_primes
     assert rounds.agent_values == result.agent_values
-    assert rounds.topology == result.final_topology
+    assert rounds.topology == result.topology
     assert rounds.completion_round == result.completion_round
     assert rounds.anomaly_count == result.anomaly_count
+    # the running totals agree with the rounds they were kept from
+    bits = [m.bit_length() for t in result.traces for m in t.messages.values()]
+    assert (result.peak_message_bits, result.total_bits_transmitted, result.anomaly_count) == (
+        max(bits), sum(bits), sum(len(t.anomalies) for t in result.traces))
 
 
 LONG_RUN = """
