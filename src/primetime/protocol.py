@@ -15,12 +15,18 @@ copies of the departed pair are discarded.
 The state kept beside the table makes each round cost only what is new.  The
 running `product` is the table's encoding, multiplied on insert and divided
 on a goodbye, so the full variant sends it as is; `unsent` holds the pairs
-learned since the last transmission, which is the incremental message.  A
-reception first strips what the receiver already holds: g = gcd(message,
-product) is the shared part, and unless a stored prime arrives with a
-smaller exponent, only the cofactor message // g is decoded.  A cofactor
-naming only unknown primes is merged as is; every other message is decoded
-whole, as the reference codec would.
+learned since the last transmission, which is the incremental message.
+
+A reception merges only the pairs the table does not already hold with
+that value, and how it finds them follows what each variant sends.  A
+full-variant message repeats the sender's whole table, most of which the
+receiver holds, so the shared part g = gcd(message, product) is stripped
+first and, unless a stored prime arrives with a smaller exponent, only the
+cofactor message // g is decoded.  An incremental message is the sender's
+news, mostly unknown to the receiver and sent alike to every neighbour, so
+it is decoded whole: the decode cache then factors each broadcast once for
+all its receivers, where per-receiver cofactors would differ and the two
+gcds with the receiver's product would cost about as much as the decode.
 """
 from __future__ import annotations
 
@@ -110,9 +116,11 @@ def form_message(state: AgentState) -> int:
 
 
 def _news(state: AgentState, message: int, max_exponent: int) -> dict[int, int] | None:
-    """Pairs of `message` for primes absent from the table, or None when the
-    message must be decoded whole.
+    """Pairs of a full-variant `message` for primes absent from the table, or
+    None when the message must be decoded whole.
 
+    A full-variant message repeats the sender's whole table, so the shared
+    part is most of it and stripping it leaves little to decode.
     g = gcd(message, product) holds every stored prime at the smaller of its
     two exponents.  If product // g shares no prime with g, no stored prime
     arrives with a smaller exponent, and the cofactor message // g holds the
@@ -150,6 +158,13 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     for exactly one relay.  Data for already-departed primes is discarded.
     A rejected message (conflict or codec error) changes nothing.
 
+    Only the pairs the table does not already hold with that value are
+    checked and applied.  Under the full variant they come from `_news`,
+    which decodes only the cofactor the table does not explain; an
+    incremental message is the sender's news, sent alike to every
+    neighbour, so it is decoded whole and its factorization is cached once
+    for all its receivers.
+
     Returns human-readable anomaly notes for the conditions the protocol
     tolerates but cannot explain (goodbye for a prime never stored, goodbye
     naming the receiver itself).
@@ -158,9 +173,12 @@ def receive_message(state: AgentState, message: int) -> list[str]:
         return []
     # A datum x <= M stacked on a sentinel M+1 yields at most 2M+1.
     max_exponent = 2 * state.max_value + 1
-    pairs = _news(state, message, max_exponent)
+    pairs = (_news(state, message, max_exponent)
+             if state.variant is Variant.PRIMETIME else None)
     if pairs is None:
-        pairs = decode(message, max_exponent=max_exponent)
+        table = state.table
+        pairs = {p: e for p, e in decode(message, max_exponent=max_exponent).items()
+                 if table.get(p) != e}
     primes = sorted(pairs)
     for prime in primes:
         exponent = pairs[prime]

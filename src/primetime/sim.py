@@ -237,6 +237,12 @@ class Rounds:
 
             event = events_by_round.get(k)
             if isinstance(event, JoinEvent):
+                if event.node in self.topology.nodes:
+                    raise ConfigError(f"events: join of present agent {event.node} at round {k}")
+                absent = next((a for a in event.attach_to if a not in self.topology.nodes), None)
+                if absent is not None:
+                    raise ConfigError(f"events: join of agent {event.node} at round {k} "
+                                      f"attaches to absent agent {absent}")
                 self.topology = self.topology.with_node_added(event.node, event.attach_to)
                 state = join(event.node, agents[min(event.attach_to)], event.value,
                              cfg.variant, cfg.max_value)

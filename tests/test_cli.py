@@ -352,6 +352,16 @@ def test_run_that_fails_part_way_keeps_the_rows_so_far(tmp_path):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ("3 join 4 1 2", "events: join of present agent 4 at round 3"),
+    ("3 join 9 77 2", "events: join of agent 9 at round 3 attaches to absent agent 77"),
+])
+def test_bad_join_exits_2_like_a_bad_leave(tmp_path, capsys, schedule, message):
+    cfg = write_config(tmp_path, BASIC + f"\n[events]\nschedule =\n    {schedule}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_trace_bits_match_recorded_decimal(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -8,9 +8,10 @@ import hypothesis.strategies as st
 
 import primetime.protocol as protocol
 from primetime.errors import CodecError, ProtocolError
-from primetime.primes import decode
+from primetime.primes import _factorize, decode
 from primetime.protocol import (Variant, form_message, join, leave,
                                 make_agent, receive_message)
+from primetime.sim import SimConfig, TopologySpec, run
 
 
 def fresh(variant=Variant.PRIMETIME, prime=7, value=2, max_value=4):
@@ -76,9 +77,10 @@ def test_receive_conflicting_value_raises():
         receive_message(agent, 5**3)
 
 
-def test_receive_hostile_message_changes_nothing():
+@pytest.mark.parametrize("variant", Variant)
+def test_receive_hostile_message_changes_nothing(variant):
     # non-smooth and too long to print in decimal
-    agent = fresh(prime=2, value=1, max_value=4)
+    agent = fresh(variant, prime=2, value=1, max_value=4)
     receive_message(agent, 5**4)
     before = copy.deepcopy(agent)
     with pytest.raises(CodecError, match="unfactorable residue"):
@@ -86,9 +88,11 @@ def test_receive_hostile_message_changes_nothing():
     assert agent == before
 
 
-def test_receive_huge_exponent_is_cheap_and_changes_nothing():
-    # the cofactor 2**99_999 is within no bound, so the whole message is decoded
-    agent = fresh(prime=2, value=1, max_value=4)
+@pytest.mark.parametrize("variant", Variant)
+def test_receive_huge_exponent_is_cheap_and_changes_nothing(variant):
+    # full variant: the cofactor 2**99_999 is within no bound, so the whole
+    # message is decoded; incremental: the whole message is decoded at once
+    agent = fresh(variant, prime=2, value=1, max_value=4)
     receive_message(agent, 5**4)
     before = copy.deepcopy(agent)
     start = perf_counter()
@@ -117,6 +121,37 @@ def test_receive_decodes_a_non_smooth_message_once(monkeypatch):
     assert decoded == [message // 2]
     assert str(raised.value) == str(expected.value)
     assert agent.table == {2: 1}
+
+
+def test_incremental_reception_decodes_the_whole_message_once(monkeypatch):
+    # a stored pair, a new pair and a goodbye: the broadcast is decoded as sent
+    agent = fresh(Variant.INCREMENTAL, prime=2, value=1, max_value=4)
+    message = 2 * 5**4 * 11**5
+    decoded = []
+
+    def counting_decode(m, max_exponent):
+        decoded.append(m)
+        return decode(m, max_exponent)
+
+    def news(*args):
+        raise AssertionError("_news called under the incremental variant")
+
+    monkeypatch.setattr(protocol, "decode", counting_decode)
+    monkeypatch.setattr(protocol, "_news", news)
+    assert receive_message(agent, message) == ["goodbye for unknown prime 11"]
+    assert decoded == [message]
+    assert agent.table == {2: 1, 5: 4}
+    assert agent.unsent == {2: 1, 5: 4}
+    assert agent.goodbye_relay == {11}
+
+
+@pytest.mark.parametrize("family, n", [("star", 9), ("path", 8), ("complete", 6)])
+def test_incremental_run_factors_each_broadcast_once(family, n):
+    _factorize.cache_clear()
+    result = run(SimConfig(topology=TopologySpec(family=family, n=n),
+                           variant=Variant.INCREMENTAL, max_value=4, seed=0))
+    sent = {t.messages[sender] for t in result.traces for sender, _ in t.delivered} - {1}
+    assert _factorize.cache_info().misses == len(sent)
 
 
 def test_receive_sentinel_removes_and_queues_relay():

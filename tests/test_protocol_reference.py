@@ -194,10 +194,12 @@ def test_fast_path_matches_reference(scenario):
         assert_same_state(state, ref)
 
 
-def test_first_over_bound_exponent_on_stored_prime_is_reported():
-    # 2 is stored, so the cofactor holds 2**9, within the bound, and 5**10;
-    # the error must still name the first over-bound prime of the message.
-    state = make_agent(1, 2, 1, Variant.PRIMETIME, max_value=4)
+@pytest.mark.parametrize("variant", Variant)
+def test_first_over_bound_exponent_on_stored_prime_is_reported(variant):
+    # 2 is stored, so under the full variant the cofactor holds 2**9, within
+    # the bound, and 5**10; the error must still name the first over-bound
+    # prime of the message.
+    state = make_agent(1, 2, 1, variant, max_value=4)
     with pytest.raises(CodecError, match=r"2\*\*10 exceeds bound 9"):
         receive_message(state, 2**10 * 5**10)
     assert state.table == {2: 1}

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import random
 import sys
 import tracemalloc
@@ -312,6 +313,18 @@ def test_event_validation():
         run(config(events=(JoinEvent(3, 9, (2,), 99),)))
     with pytest.raises(ConfigError, match="loss_q"):
         run(config(loss_q=1.0))
+
+
+@pytest.mark.parametrize("event, message", [
+    (JoinEvent(2, 3, (1,), 1), "events: join of present agent 3 at round 2"),
+    (JoinEvent(2, 9, (1, 77), 1), "events: join of agent 9 at round 2 attaches to absent agent 77"),
+])
+def test_bad_join_is_a_config_error_at_its_round(event, message):
+    rounds = iter(iter_rounds(config(events=(event,))))
+    assert [t.round_index for t in itertools.islice(rounds, 2)] == [0, 1]
+    with pytest.raises(ConfigError) as raised:
+        next(rounds)
+    assert str(raised.value) == message
 
 
 def test_explicit_values_validated():

@@ -166,7 +166,8 @@ def test_sweep_matches_the_whole_run_rows(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(CONFIGS["churn"])
     expected, anomalies = reference_sweep(path)
-    assert b"unknown node in edge 4-9" in expected  # the n = 3 points fail mid-run
+    # the n = 3 points fail mid-run
+    assert b"events: join of agent 9 at round 9 attaches to absent agent 4" in expected
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(path), "--out", str(out), "--strict"])
     assert code == (3 if anomalies else 0)
