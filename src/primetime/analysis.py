@@ -1,10 +1,10 @@
 """Message-size metrics, the tabular baseline, and trace checkers.
 
-The checkers replay a loss-free closed-graph run against the BFS oracle:
-tables must grow exactly along inclusive hop sets, completion must land
-exactly on the diameter, and messages must match the hop-set products
-(inclusive sets for the full variant, exclusive sets for the incremental
-one).
+The checkers read a loss-free closed-graph run round by round against the
+BFS oracle: tables must grow exactly along inclusive hop sets, completion
+must land exactly on the diameter, and messages must match the hop-set
+products (inclusive sets for the full variant, exclusive sets for the
+incremental one).
 """
 from __future__ import annotations
 
@@ -13,12 +13,12 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import graph as graphmod
 from .primes import bit_length, decimal, decode, encode, first_primes
 from .protocol import Variant
-from .sim import Rounds, SimConfig
+from .sim import Rounds, SimConfig, with_final_primes
 
 
 def ceil_log2(x: int) -> int:
@@ -65,9 +65,11 @@ def require_closed_lossless(cfg: SimConfig, check: str) -> None:
 
 
 def check_diameter_completion(result: Rounds) -> CheckVerdict:
-    """Completion must land exactly on the diameter: complete at d, and for
-    d >= 1 at least one table still incomplete at d - 1."""
+    """Completion must land exactly on the diameter: the stream, drained
+    first, is complete at d and, for d >= 1, incomplete at d - 1."""
     require_closed_lossless(result.config, "check_diameter_completion")
+    for _ in result:
+        pass
     d = result.diameter
     observed = result.completion_round
     if observed != d:
@@ -75,12 +77,6 @@ def check_diameter_completion(result: Rounds) -> CheckVerdict:
             "diameter_completion", False,
             detail=f"completion_round {observed} != diameter {d}",
             counterexample={"completion_round": observed, "diameter": d},
-        )
-    if d >= 1 and result.traces[d - 1].complete:
-        return CheckVerdict(
-            "diameter_completion", False,
-            detail=f"all tables already complete at round {d - 1}",
-            counterexample={"round": d - 1},
         )
     return CheckVerdict("diameter_completion", True, detail=f"complete at d={d}, incomplete before")
 
@@ -102,8 +98,10 @@ def check_hop_equations(result: Rounds) -> CheckVerdict:
         order[i] = sorted(distances, key=distances.get)
         hops = [distances[j] for j in order[i]]
         start[i] = [bisect_left(hops, d) for d in range(hops[-1] + 2)]
-    for trace in result.traces:
+    count = 0
+    for trace in result:
         k = trace.round_index
+        count += len(trace.messages)
         for agent, message in trace.messages.items():
             bounds = start[agent]
             last = len(bounds) - 1
@@ -119,8 +117,7 @@ def check_hop_equations(result: Rounds) -> CheckVerdict:
                     counterexample={"agent": agent, "round": k, "message": decimal(message),
                                     "expected": decimal(expected)},
                 )
-    return CheckVerdict("hop_equations", True,
-                        detail=f"{sum(len(t.messages) for t in result.traces)} messages match")
+    return CheckVerdict("hop_equations", True, detail=f"{count} messages match")
 
 
 @dataclass(frozen=True)
@@ -152,26 +149,22 @@ def steady_state_growth(n_values: Sequence[int], max_value: int) -> list[GrowthR
 SIZE_REPORT_COLUMNS = ("n", "M", "round", "agent", "primetime_bits", "tabular_bits")
 
 
-def size_report_rows(result: Rounds) -> list[tuple]:
-    """Per-transmission size comparison rows for one run.
+def size_report_rows(result: Rounds) -> Iterator[tuple]:
+    """Per-transmission size comparison rows for one run, as its rounds end.
 
     The pair count behind each tabular row is recovered from the traced
     message itself (its number of distinct prime factors).
     """
     cfg = result.config
+    traces = with_final_primes(result)
     n_max = cfg.n_max if cfg.n_max is not None else len(result.agent_primes)
-    rows = []
-    for trace in result.traces:
+    for trace in traces:
         for agent in sorted(trace.messages):
             message = trace.messages[agent]
             pair_count = len(decode(message, max_exponent=2 * cfg.max_value + 1))
-            rows.append((
-                len(result.initial_topology.nodes), cfg.max_value,
-                trace.round_index, agent,
-                message.bit_length(),
-                tabular_bits(pair_count, n_max, cfg.max_value),
-            ))
-    return rows
+            yield (len(result.initial_topology.nodes), cfg.max_value,
+                   trace.round_index, agent, message.bit_length(),
+                   tabular_bits(pair_count, n_max, cfg.max_value))
 
 
 def write_size_report_csv(result: Rounds, path) -> None:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands (all but demo drain one `iter_rounds` stream, a round at a time):
   run           execute one simulation, streaming trace.csv, then summary.txt
   sweep         run a parameter grid, write sweep.csv
   check         run and verify the diameter-exact completion and hop-set
@@ -145,22 +145,23 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-    result = run(cfg)
-    verdicts = [check_diameter_completion(result), check_hop_equations(result)]
+    rounds = iter_rounds(cfg)
+    hop = check_hop_equations(rounds)
+    verdicts = [check_diameter_completion(rounds), hop]
     write_verdicts_json(verdicts, os.path.join(args.out, "verdicts.json"))
     for v in verdicts:
         print(f"{v.check}: {'pass' if v.passed else 'FAIL'} ({v.detail})")
     if not all(v.passed for v in verdicts):
         return 1
-    return _finish(result.anomaly_count, args)
+    return _finish(rounds.anomaly_count, args)
 
 
 def cmd_compare_size(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    result = run(cfg)
-    write_size_report_csv(result, os.path.join(args.out, "size_report.csv"))
-    return _finish(result.anomaly_count, args)
+    rounds = iter_rounds(cfg)
+    write_size_report_csv(rounds, os.path.join(args.out, "size_report.csv"))
+    return _finish(rounds.anomaly_count, args)
 
 
 def _format_pairs(pairs: dict[int, int]) -> str:

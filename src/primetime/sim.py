@@ -10,7 +10,7 @@ running product, its encoding, so an unchanged table costs no copy.
 The engine is one generator loop: `iter_rounds` yields each round's trace
 as the round ends and keeps none, so a consumer that writes rows and keeps
 totals holds one round at a time; `run` drains the stream and keeps its
-rounds.
+rounds, which iterating it then replays.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
@@ -91,6 +91,8 @@ class SimConfig:
             raise ConfigError(f"loss_q must be in [0, 1), got {self.loss_q}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.n_max is not None and self.n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.extra_rounds < 1:
             raise ConfigError(f"extra_rounds must be >= 1, got {self.extra_rounds}")
         rounds = [e.round_index for e in self.events]
@@ -163,8 +165,8 @@ class Rounds:
     `topology`, `agent_primes`/`agent_values` (every agent present so far,
     departed ones included) and the running totals `rounds_run`,
     `completion_round`, `peak_message_bits`, `total_bits_transmitted` and
-    `anomaly_count`.  The engine runs once: iterating again resumes it.
-    `run` drains the stream and keeps its rounds in `traces`.
+    `anomaly_count`.  The engine runs once: iterating a live stream again
+    resumes it.  `run` keeps the rounds in `traces`, which iterating replays.
     """
     traces: list[RoundTrace]
 
@@ -207,7 +209,7 @@ class Rounds:
         return {i: a.own_value for i, a in self._agents.items()}
 
     def __iter__(self) -> Iterator[RoundTrace]:
-        return self._rounds
+        return iter(self._rounds)
 
     def _run(self) -> Iterator[RoundTrace]:
         """The round loop.
@@ -340,8 +342,22 @@ def run(cfg: SimConfig) -> Rounds:
     """Execute a full simulation: the stream of `iter_rounds`, drained, with
     its rounds kept in `traces`."""
     rounds = iter_rounds(cfg)
-    rounds.traces = list(rounds)
+    rounds._rounds = rounds.traces = list(rounds)
     return rounds
+
+
+def with_final_primes(rounds: Rounds) -> Iterator[RoundTrace]:
+    """Run `rounds` through its last scheduled join, after which no agent or
+    prime is added, and return an iterator over all its rounds."""
+    last_join = max((e.round_index for e in rounds.config.events
+                     if isinstance(e, JoinEvent)), default=0)
+    stream = iter(rounds)
+    held: list[RoundTrace] = []
+    for trace in stream:
+        held.append(trace)
+        if trace.round_index >= last_join:
+            break
+    return chain(held, stream)
 
 
 TRACE_COLUMNS = ("round", "agent", "prime", "message_decimal", "message_bits",
@@ -354,21 +370,11 @@ def trace_rows(rounds: Rounds) -> Iterator[tuple]:
 
     Agents absent from a round (departed or not yet joined) appear with
     active=0 and zeroed message fields, keeping the table rectangular.
-    Every row names the agent's final prime, and a join adds an agent (or
-    gives a reused id a new prime), so the rounds up to the last scheduled
-    join are held back until it has happened.
+    Every row names the agent's final prime.
     """
-    last_join = max((e.round_index for e in rounds.config.events
-                     if isinstance(e, JoinEvent)), default=0)
-    held: list[RoundTrace] = []
-    for trace in rounds:
-        held.append(trace)
-        if trace.round_index >= last_join:
-            break
-    primes = rounds.agent_primes  # final: no join is left to run
+    traces = with_final_primes(rounds)
+    primes = rounds.agent_primes
     all_agents = sorted(primes)
-    traces = chain(held, rounds)
-    del held  # so the held rounds go once their rows are out
     for trace in traces:
         for agent in all_agents:
             prime = primes[agent]

@@ -167,6 +167,13 @@ def test_compare_size_writes_report(tmp_path):
     assert set(rows[0]) == {"n", "M", "round", "agent", "primetime_bits", "tabular_bits"}
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_n_max_below_1_exits_2(tmp_path, capsys, n_max):
+    cfg = write_config(tmp_path, BASIC + f"\n[analysis]\nn_max = {n_max}\n")
+    assert main(["compare-size", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: n_max must be >= 1, got {n_max}\n"
+
+
 def test_sweep_seed_invariant_without_loss(tmp_path):
     cfg = write_config(tmp_path, """
 [topology]

@@ -1,24 +1,30 @@
-"""The CLI writers consume the round stream and keep no list of rounds.
+"""The CLI commands consume the round stream and keep no list of rounds.
 
-The reference writers below are the whole-run writers the CLI used before
-it streamed, fed from `run(cfg)`; the streaming CLI must write the same
-bytes.
+The reference writers and oracles below are the whole-run ones the CLI used
+before it streamed, fed from `run(cfg)`; the streaming CLI must write the
+same bytes.
 """
 import csv
 import dataclasses
 import gc
 import io
+import pathlib
 import tracemalloc
 
 import pytest
 
-from primetime.analysis import tabular_bits
+from primetime import cli
+from primetime.analysis import (CheckVerdict, check_diameter_completion, tabular_bits,
+                                write_verdicts_json)
 from primetime.cli import SWEEP_COLUMNS, main
 from primetime.config import load_config, load_sweep
 from primetime.errors import PrimeTimeError
-from primetime.primes import decode
+from primetime.graph import bfs_distances
+from primetime.primes import decimal, decode, encode
 from primetime.protocol import Variant
 from primetime.sim import TRACE_COLUMNS, TopologySpec, iter_rounds, run
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # Loss, forced drops, a leave, a join, and agent 3 rejoining under its old
 # id with a new prime.  The sweep's n = 3 points fail mid-run: the join
@@ -118,6 +124,41 @@ def reference_size_report(result) -> bytes:
     return buffer.getvalue().encode()
 
 
+def reference_verdicts(result, path) -> None:
+    d, observed = result.diameter, result.completion_round
+    if observed != d:
+        diameter = CheckVerdict("diameter_completion", False,
+                                detail=f"completion_round {observed} != diameter {d}",
+                                counterexample={"completion_round": observed, "diameter": d})
+    elif d >= 1 and result.traces[d - 1].complete:
+        diameter = CheckVerdict("diameter_completion", False,
+                                detail=f"all tables already complete at round {d - 1}",
+                                counterexample={"round": d - 1})
+    else:
+        diameter = CheckVerdict("diameter_completion", True,
+                                detail=f"complete at d={d}, incomplete before")
+    topology = result.initial_topology
+    distances = {i: bfs_distances(topology, i) for i in topology.nodes}
+    incremental = result.config.variant is Variant.INCREMENTAL
+    hop = CheckVerdict("hop_equations", True, detail=(
+        f"{sum(len(t.messages) for t in result.traces)} messages match"))
+    for trace in result.traces:
+        k = trace.round_index
+        for agent, message in trace.messages.items():
+            members = [j for j, h in distances[agent].items()
+                       if (h == k if incremental else h <= k)]
+            expected = encode(((result.agent_primes[j], result.agent_values[j])
+                               for j in members), max_exponent=result.config.max_value + 1)
+            if message != expected and hop.passed:
+                hop = CheckVerdict(
+                    "hop_equations", False,
+                    detail=f"agent {agent} round {k}: message {decimal(message)} "
+                           f"!= oracle {decimal(expected)}",
+                    counterexample={"agent": agent, "round": k, "message": decimal(message),
+                                    "expected": decimal(expected)})
+    write_verdicts_json([diameter, hop], path)
+
+
 def reference_sweep(path) -> tuple[bytes, int]:
     base, grid = load_sweep(path)
     rows, anomalies = [], 0
@@ -160,6 +201,58 @@ def test_run_and_compare_size_match_the_whole_run_writers(tmp_path, capsys, name
 
     assert main(["compare-size", *argv]) == strict_code
     assert (out / "size_report.csv").read_bytes() == reference_size_report(result)
+
+
+CYCLE = """
+[topology]
+family = cycle
+n = 9
+
+[protocol]
+max_value = 3
+
+[sim]
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("name", ["path8", "cycle9"])
+def test_check_streams_and_matches_the_whole_run_oracles(tmp_path, capsys, monkeypatch,
+                                                        name, variant):
+    path = REPO / "configs" / "path8.ini"
+    if name == "cycle9":
+        path = tmp_path / "cfg.ini"
+        path.write_text(CYCLE)
+    result = run(dataclasses.replace(load_config(path), variant=Variant(variant)))
+    reference_verdicts(result, tmp_path / "expected.json")
+
+    def keeps_every_round(cfg):
+        raise AssertionError("check kept the whole run")
+
+    monkeypatch.setattr(cli, "run", keeps_every_round)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out), "--variant", variant]) == 0
+    assert (out / "verdicts.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_a_kept_run_replays_its_rounds(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIGS["churn"])
+    result = run(load_config(path))
+    first, second = list(result), list(result)
+    assert len(first) == result.rounds_run
+    assert all(a is b is c for a, b, c in zip(first, second, result.traces, strict=True))
+
+
+def test_diameter_check_drains_a_stream_consumed_part_way():
+    rounds = iter_rounds(load_config(REPO / "configs" / "path8.ini"))
+    stream = iter(rounds)
+    for _ in range(2):
+        next(stream)
+    assert check_diameter_completion(rounds).passed
+    assert next(stream, None) is None
+    assert rounds.rounds_run == rounds.diameter + 3  # through d + extra_rounds - 1
 
 
 def test_sweep_matches_the_whole_run_rows(tmp_path):
@@ -211,10 +304,11 @@ seeds = 0
 """
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run", "sweep", "check", "compare-size"])
 def test_cli_memory_does_not_grow_with_the_round_count(tmp_path, capsys, command):
-    # Keeping every round's trace let this peak grow from 0.5 MB at 20 extra
-    # rounds to 3.5 MB at 400.
+    # Keeping every round's trace let these peaks grow from 20 extra rounds
+    # to 400: `run` from 0.5 to 3.5 MB, `check` from 0.4 to 2.1 MB and
+    # `compare-size` from 0.8 to 4.3 MB.
     configs = {}
     for extra in (20, 400):
         configs[extra] = tmp_path / f"extra{extra}.ini"
