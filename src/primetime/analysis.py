@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import graph as graphmod
-from .primes import bit_length, decimal, decode, encode, first_primes
+from .primes import bit_length, decimal, encode, first_primes, prime_count
 from .protocol import Variant
 from .sim import Rounds, SimConfig, with_final_primes
 
@@ -153,18 +153,28 @@ def size_report_rows(result: Rounds) -> Iterator[tuple]:
     """Per-transmission size comparison rows for one run, as its rounds end.
 
     The pair count behind each tabular row is recovered from the traced
-    message itself (its number of distinct prime factors).
+    message itself (its number of distinct prime factors).  A message often
+    repeats from one round to the next (the full variant resends an
+    unchanged table), so the counts of the previous round's messages are
+    kept for reuse, and only those.
     """
     cfg = result.config
     traces = with_final_primes(result)
     n_max = cfg.n_max if cfg.n_max is not None else len(result.agent_primes)
+    previous: dict[int, int] = {}
     for trace in traces:
+        current: dict[int, int] = {}
         for agent in sorted(trace.messages):
             message = trace.messages[agent]
-            pair_count = len(decode(message, max_exponent=2 * cfg.max_value + 1))
+            pair_count = current.get(message)
+            if pair_count is None:
+                pair_count = current[message] = (
+                    previous[message] if message in previous
+                    else prime_count(message, max_exponent=2 * cfg.max_value + 1))
             yield (len(result.initial_topology.nodes), cfg.max_value,
                    trace.round_index, agent, message.bit_length(),
                    tabular_bits(pair_count, n_max, cfg.max_value))
+        previous = current
 
 
 def write_size_report_csv(result: Rounds, path) -> None:

@@ -208,6 +208,15 @@ def decode(message: int, max_exponent: int) -> dict[int, int]:
     return dict(_factorize(message, max_exponent))
 
 
+def prime_count(message: int, max_exponent: int) -> int:
+    """``len(decode(message, max_exponent))``, checked and raised alike, but
+    factored outside the decode cache, so counting many messages evicts none
+    of the factorizations the protocol reuses."""
+    if message < 1:
+        raise CodecError(f"message must be >= 1, got {message}")
+    return len(_factorize.__wrapped__(message, max_exponent))
+
+
 def decimal(message: int) -> str:
     """``str(message)`` for a non-negative int of any size.
 

@@ -12,6 +12,13 @@ as the round ends and keeps none, so a consumer that writes rows and keeps
 totals holds one round at a time; `run` drains the stream and keeps its
 rounds, which iterating it then replays.
 
+A round costs only what changed, through two exact memos of the loop.  A
+delivery equal to the last message that merged cleanly from that sender
+into that receiver is skipped, because merging it again is a no-op; and
+each agent's completion flag is kept with the product it was computed
+from, so an unchanged table is not checked again until the set of
+required pairs changes.
+
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
 """
@@ -46,6 +53,10 @@ class LeaveEvent:
 
 
 Event = Union[JoinEvent, LeaveEvent]
+
+# Both memos of the round loop are exact; tests turn them off (the loop then
+# forgets them every round) to check that they change nothing.
+_MEMOS = True
 
 
 @dataclass(frozen=True)
@@ -232,10 +243,33 @@ class Rounds:
         for r, src, dst in cfg.drop_schedule:
             forced_drops.setdefault(r, set()).add((src, dst))
 
+        # receiver -> sender -> the last message from sender that merged
+        # cleanly into receiver (no exception, no note).  Merging that message
+        # again is a no-op: after a clean merge every data prime of it is in
+        # the table with that value or in `departed`, and every sentinel
+        # prime is in `departed`.  A pair leaves the table only through a
+        # goodbye, which adds its prime to `departed`, and `departed` only
+        # grows, so that stays true and a second merge inserts, drops, relays
+        # and logs nothing, under either variant.  A message that raised or
+        # returned a note is never stored, so it is merged, and rejected or
+        # logged, every time it arrives.
+        merged: dict[int, dict[int, int]] = {}
+        # agent -> (product, whether that table holds `flags_required`).  A
+        # table change always makes a new product int, and the entry keeps
+        # the old one alive so that its identity is not reused: the same
+        # product object means the same table.  `required` can change on any
+        # round, not only on an event round: a leaver is present at its own
+        # round and retires after it, so the set shrinks one round later.
+        flags: dict[int, tuple[int, bool]] = {}
+        flags_required: set[tuple[int, int]] = set()
+
         last_round: int | None = None
         for k in range(max_rounds):
             anomalies: list[str] = []
             leaving: int | None = None
+            if not _MEMOS:
+                merged.clear()
+                flags.clear()
 
             event = events_by_round.get(k)
             if isinstance(event, JoinEvent):
@@ -255,6 +289,7 @@ class Rounds:
                     anomalies.append(f"round {k}: agent {event.node} joined with prime "
                                      f"{state.own_prime}, already held by agent {holder}")
                 agents[event.node] = state
+                merged.pop(event.node, None)  # ids are reused
             elif isinstance(event, LeaveEvent):
                 if event.node not in self.topology.nodes:
                     raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
@@ -264,7 +299,16 @@ class Rounds:
             products = {i: agents[i].product for i in present}
             table_sizes = {i: len(agents[i].table) for i in present}
             required = {(agents[i].own_prime, agents[i].own_value) for i in present}
-            complete = all(agents[i].table.items() >= required for i in present)
+            if required != flags_required:
+                flags, flags_required = {}, required
+            complete = True
+            for i, product in products.items():
+                flag = flags.get(i)
+                if flag is None or flag[0] is not product:
+                    flag = flags[i] = (product, agents[i].table.items() >= required)
+                if not flag[1]:
+                    complete = False
+                    break
             relaying = any(agents[i].goodbye_relay for i in present)
 
             messages: dict[int, int] = {}
@@ -287,16 +331,25 @@ class Rounds:
                 if messages[sender] != 1:
                     senders_of.setdefault(target, []).append(sender)
             for receiver in present:
-                for sender in senders_of.get(receiver, ()):
+                senders = senders_of.get(receiver)
+                if senders is None:
+                    continue
+                clean = merged.setdefault(receiver, {})
+                for sender in senders:
+                    message = messages[sender]
+                    if clean.get(sender) == message:
+                        continue
                     try:
-                        for note in receive_message(agents[receiver], messages[sender]):
-                            anomalies.append(
-                                f"round {k}: agent {receiver} <- agent {sender}: {note}"
-                            )
+                        notes = receive_message(agents[receiver], message)
                     except (ProtocolError, CodecError) as exc:
                         anomalies.append(
                             f"round {k}: agent {receiver} rejected message from {sender}: {exc}"
                         )
+                        continue
+                    for note in notes:
+                        anomalies.append(f"round {k}: agent {receiver} <- agent {sender}: {note}")
+                    if not notes:
+                        clean[sender] = message
 
             if leaving is not None:
                 self.topology = self.topology.without_node(leaving)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from time import perf_counter
 from unittest import mock
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 from primetime import primes
 from primetime.errors import CodecError, ExponentRangeError, PrimeCapError
 from primetime.primes import (PRIME_CAP, bit_length, decimal, decode, encode,
-                              first_primes, nth_prime, smallest_unused_prime)
+                              first_primes, nth_prime, prime_count, smallest_unused_prime)
 
 
 def sieve_of_eratosthenes(limit):
@@ -280,3 +281,18 @@ def test_rejected_messages_leave_nothing_in_the_decode_cache():
     assert decode(2**9 * 3, max_exponent=9) == {2: 9, 3: 1}
     assert primes._factorize.cache_info().currsize == 1
     primes._factorize.cache_clear()
+
+
+@pytest.mark.parametrize("message", [1, 2**9 * 3, 5**4 * 7 * 104_729**2, 2**10, 0,
+                                     1_000_003 * 4])
+def test_prime_count_is_len_decode_outside_the_cache(message):
+    primes._factorize.cache_clear()
+    try:
+        expected = len(decode(message, max_exponent=9))
+    except CodecError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            prime_count(message, max_exponent=9)
+    else:
+        primes._factorize.cache_clear()
+        assert prime_count(message, max_exponent=9) == expected
+        assert primes._factorize.cache_info().currsize == 0

@@ -20,7 +20,7 @@ from primetime.cli import SWEEP_COLUMNS, main
 from primetime.config import load_config, load_sweep
 from primetime.errors import PrimeTimeError
 from primetime.graph import bfs_distances
-from primetime.primes import decimal, decode, encode
+from primetime.primes import _factorize, decimal, decode, encode
 from primetime.protocol import Variant
 from primetime.sim import TRACE_COLUMNS, TopologySpec, iter_rounds, run
 
@@ -328,3 +328,23 @@ def test_cli_memory_does_not_grow_with_the_round_count(tmp_path, capsys, command
     finally:
         tracemalloc.stop()
     assert long - short < 100_000, (short, long)
+
+
+def test_compare_size_leaves_the_decode_cache_alone(tmp_path, capsys):
+    # Decoding every full-variant message whole through the cache added 419
+    # whole-table entries here and raised the peak from 0.37 to 0.85 MB.
+    config = tmp_path / "path40.ini"
+    config.write_text("[topology]\nfamily = path\nn = 40\n\n[protocol]\nvariant = primetime\n")
+    argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+    _factorize.cache_clear()
+    assert main(["run", *argv]) == 0  # the protocol's own decodes
+    entries = _factorize.cache_info().currsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["compare-size", *argv]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _factorize.cache_info().currsize == entries
+    assert peak < 600_000, peak
