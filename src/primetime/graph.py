@@ -120,8 +120,30 @@ def eccentricity(t: Topology, node: int) -> int:
 
 
 def diameter(t: Topology) -> int:
-    """Largest hop distance over all node pairs; 0 for a single-node graph."""
-    return max(eccentricity(t, n) for n in t.nodes)
+    """Largest hop distance over all node pairs; 0 for a single-node graph.
+
+    Searches from every source at once: bit i of `reach[v]` says node i is
+    within d hops of node v, and each step ORs in the neighbours' masks, so
+    the diameter is the number of steps until every mask is full.  A step
+    that changes no mask leaves some pair unreachable.  `eccentricity` and
+    `bfs_distances` are its oracles.
+    """
+    index = {n: i for i, n in enumerate(t.nodes)}
+    neighbours = [[index[m] for m in t.adjacency[n]] for n in t.nodes]
+    reach = [1 << i for i in range(len(t.nodes))]
+    full = (1 << len(t.nodes)) - 1
+    d = 0
+    while any(mask != full for mask in reach):
+        grown = []
+        for mask, around in zip(reach, neighbours):
+            for j in around:
+                mask |= reach[j]
+            grown.append(mask)
+        if grown == reach:
+            raise GraphError("disconnected graph")
+        reach = grown
+        d += 1
+    return d
 
 
 def hop_sets(t: Topology, node: int, k: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -12,12 +12,16 @@ as the round ends and keeps none, so a consumer that writes rows and keeps
 totals holds one round at a time; `run` drains the stream and keeps its
 rounds, which iterating it then replays.
 
-A round costs only what changed, through two exact memos of the loop.  A
+A round costs only what changed, through three exact memos of the loop.  A
 delivery equal to the last message that merged cleanly from that sender
-into that receiver is skipped, because merging it again is a no-op; and
-each agent's completion flag is kept with the product it was computed
-from, so an unchanged table is not checked again until the set of
-required pairs changes.
+into that receiver is skipped, because merging it again is a no-op; each
+agent's completion flag is kept with the product it was computed from, so
+an unchanged table is not checked again until the set of required pairs
+changes; and a quiet round, one after a round whose every message was 1
+with no event of its own, carries the previous round's snapshot and
+messages forward, because nothing that makes them can have changed.  Only
+the incremental variant falls quiet, and only the loss draws of such a
+round are made afresh.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
@@ -54,8 +58,9 @@ class LeaveEvent:
 
 Event = Union[JoinEvent, LeaveEvent]
 
-# Both memos of the round loop are exact; tests turn them off (the loop then
-# forgets them every round) to check that they change nothing.
+# The three memos of the round loop are exact; tests turn them off (the loop
+# then forgets them every round and never carries a round) to check that they
+# change nothing.
 _MEMOS = True
 
 
@@ -133,6 +138,12 @@ class RoundTrace:
     `complete` is the completion predicate: every present agent's
     start-of-round table held every present agent's pair.  The engine
     evaluates it on the live tables when it takes the snapshot.
+
+    `edges` is every directed edge of the round's topology, the tuple the
+    topology keeps, and `delivered` the ones that got through in the same
+    order; `dropped` is the rest, derived on first use.  A quiet round
+    shares the previous round's `products`, `table_sizes` and `messages`
+    objects, so a consumer must not change them.
     """
     round_index: int
     products: dict[int, int]  # start-of-round table encodings, present agents only
@@ -140,9 +151,15 @@ class RoundTrace:
     complete: bool
     max_value: int
     messages: dict[int, int]
+    edges: tuple[tuple[int, int], ...]
     delivered: list[tuple[int, int]]
-    dropped: list[tuple[int, int]]
     anomalies: list[str] = field(default_factory=list)
+
+    @cached_property
+    def dropped(self) -> list[tuple[int, int]]:
+        """Directed edges whose delivery was lost or forcibly dropped."""
+        delivered = set(self.delivered)
+        return [e for e in self.edges if e not in delivered]
 
     @cached_property
     def tables(self) -> dict[int, dict[int, int]]:
@@ -164,7 +181,8 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
     """
     if q == 0:
         return list(edges)
-    return [e for e in edges if rng.random() >= q]
+    draw = rng.random
+    return [e for e in edges if draw() >= q]
 
 
 class Rounds:
@@ -231,6 +249,11 @@ class Rounds:
         The run settles at the first round s >= 1 past the last event whose
         snapshot is complete with no goodbye relay pending; it stops after
         round s + extra_rounds - 1, or at max_rounds.
+
+        Three exact memos keep a round's cost to what changed: the clean
+        merges (`merged`), the completion flags (`flags`) and the quiet-round
+        carry (`quiet`).  Each one's no-op argument is written where it is
+        kept.
         """
         cfg = self.config
         agents = self._agents
@@ -262,6 +285,21 @@ class Rounds:
         # round and retires after it, so the set shrinks one round later.
         flags: dict[int, tuple[int, bool]] = {}
         flags_required: set[tuple[int, int]] = set()
+        # Whether every message of the round was 1.  A round after such a
+        # round, with no event of its own, is a fixed point: its snapshot,
+        # flags and messages are the previous round's, shared, and only its
+        # loss draws are made.  Every delivery of a quiet round is the message
+        # 1, which merges nothing, and `form_message` leaves `unsent` and
+        # `goodbye_relay` empty behind it, so no table, product, `unsent` or
+        # relay set changed.  No agent left in it, because a leave message is
+        # never 1, and with no event now none joins or leaves, so the topology
+        # and the required pairs are unchanged.  No relay was pending, because
+        # a pending relay makes a message other than 1.  So this round's
+        # snapshot equals the last one, every message is 1 again, and the
+        # round is quiet too, with no anomaly.  A full-variant message is its
+        # product, at least 2, so only the incremental variant falls quiet,
+        # and the carry ends by itself at the next join or leave.
+        quiet = False
 
         last_round: int | None = None
         for k in range(max_rounds):
@@ -296,60 +334,63 @@ class Rounds:
                 leaving = event.node
 
             present = self.topology.nodes
-            products = {i: agents[i].product for i in present}
-            table_sizes = {i: len(agents[i].table) for i in present}
-            required = {(agents[i].own_prime, agents[i].own_value) for i in present}
-            if required != flags_required:
-                flags, flags_required = {}, required
-            complete = True
-            for i, product in products.items():
-                flag = flags.get(i)
-                if flag is None or flag[0] is not product:
-                    flag = flags[i] = (product, agents[i].table.items() >= required)
-                if not flag[1]:
-                    complete = False
-                    break
-            relaying = any(agents[i].goodbye_relay for i in present)
+            if not (quiet and event is None):
+                products = {i: agents[i].product for i in present}
+                table_sizes = {i: len(agents[i].table) for i in present}
+                required = {(agents[i].own_prime, agents[i].own_value) for i in present}
+                if required != flags_required:
+                    flags, flags_required = {}, required
+                complete = True
+                for i, product in products.items():
+                    flag = flags.get(i)
+                    if flag is None or flag[0] is not product:
+                        flag = flags[i] = (product, agents[i].table.items() >= required)
+                    if not flag[1]:
+                        complete = False
+                        break
+                relaying = any(agents[i].goodbye_relay for i in present)
 
-            messages: dict[int, int] = {}
-            for i in present:
-                if i == leaving:
-                    messages[i] = leave(agents[i])
-                else:
-                    messages[i] = form_message(agents[i])
+                messages: dict[int, int] = {}
+                for i in present:
+                    if i == leaving:
+                        messages[i] = leave(agents[i])
+                    else:
+                        messages[i] = form_message(agents[i])
+                bits = [m.bit_length() for m in messages.values()]
+                peak_bits, round_bits = max(bits, default=0), sum(bits)
+                quiet = _MEMOS and peak_bits == 1  # the only 1-bit message is 1
 
             directed = self.topology.directed_edges
-            forced = forced_drops.get(k, set())
-            candidates = [e for e in directed if e not in forced]
+            forced = forced_drops.get(k)
+            candidates = [e for e in directed if e not in forced] if forced else directed
             delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
-            delivered_set = set(delivered)
-            dropped = [e for e in directed if e not in delivered_set]
 
-            # The message 1 carries nothing; it is most incremental traffic.
-            senders_of: dict[int, list[int]] = {}
-            for sender, target in delivered:
-                if messages[sender] != 1:
-                    senders_of.setdefault(target, []).append(sender)
-            for receiver in present:
-                senders = senders_of.get(receiver)
-                if senders is None:
-                    continue
-                clean = merged.setdefault(receiver, {})
-                for sender in senders:
-                    message = messages[sender]
-                    if clean.get(sender) == message:
+            if not quiet:
+                # The message 1 carries nothing; it is most incremental traffic.
+                senders_of: dict[int, list[int]] = {}
+                for sender, target in delivered:
+                    if messages[sender] != 1:
+                        senders_of.setdefault(target, []).append(sender)
+                for receiver in present:
+                    senders = senders_of.get(receiver)
+                    if senders is None:
                         continue
-                    try:
-                        notes = receive_message(agents[receiver], message)
-                    except (ProtocolError, CodecError) as exc:
-                        anomalies.append(
-                            f"round {k}: agent {receiver} rejected message from {sender}: {exc}"
-                        )
-                        continue
-                    for note in notes:
-                        anomalies.append(f"round {k}: agent {receiver} <- agent {sender}: {note}")
-                    if not notes:
-                        clean[sender] = message
+                    clean = merged.setdefault(receiver, {})
+                    for sender in senders:
+                        message = messages[sender]
+                        if clean.get(sender) == message:
+                            continue
+                        try:
+                            notes = receive_message(agents[receiver], message)
+                        except (ProtocolError, CodecError) as exc:
+                            anomalies.append(f"round {k}: agent {receiver} rejected "
+                                             f"message from {sender}: {exc}")
+                            continue
+                        for note in notes:
+                            anomalies.append(
+                                f"round {k}: agent {receiver} <- agent {sender}: {note}")
+                        if not notes:
+                            clean[sender] = message
 
             if leaving is not None:
                 self.topology = self.topology.without_node(leaving)
@@ -358,10 +399,9 @@ class Rounds:
                         f"round {k}: leave of agent {leaving} disconnected the graph"
                     )
 
-            bits = [m.bit_length() for m in messages.values()]
             self.rounds_run += 1
-            self.peak_message_bits = max(self.peak_message_bits, max(bits, default=0))
-            self.total_bits_transmitted += sum(bits)
+            self.peak_message_bits = max(self.peak_message_bits, peak_bits)
+            self.total_bits_transmitted += round_bits
             self.anomaly_count += len(anomalies)
             # Once settled, a run stays settled: after the last event no new
             # sentinel can start, and only sentinels take pairs out of a table.
@@ -378,8 +418,8 @@ class Rounds:
                 complete=complete,
                 max_value=cfg.max_value,
                 messages=messages,
+                edges=directed,
                 delivered=delivered,
-                dropped=dropped,
                 anomalies=anomalies,
             )
             if k == last_round:

@@ -2,6 +2,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+try:  # the independent oracle of the `test` extra
+    import networkx as nx
+except ImportError:
+    nx = None
+
 from primetime.errors import GraphError
 from primetime.graph import (Topology, bfs_distances, diameter, eccentricity,
                              generate, hop_sets, read_edge_list)
@@ -45,6 +50,11 @@ def test_bfs_unknown_node():
         bfs_distances(t, 9)
 
 
+# The graphs of the benchmark's four workloads (random_connected at seed 0).
+BENCHMARK_SHAPES = [("path", 128, None, None), ("cycle", 160, None, None),
+                    ("random_connected", 256, 0.03, "0:graph"), ("cycle", 64, None, None)]
+
+
 def test_diameter_examples():
     assert diameter(generate("path", 5)) == 4
     assert diameter(generate("complete", 7)) == 1
@@ -52,6 +62,12 @@ def test_diameter_examples():
     t = generate("cycle", 9)
     oracle = floyd_warshall(t)
     assert max(oracle[u][v] for u in t.nodes for v in t.nodes) == 4
+    for shape in BENCHMARK_SHAPES:
+        t = generate(*shape)
+        assert diameter(t) == max(eccentricity(t, n) for n in t.nodes)
+        if nx is not None:
+            g = nx.Graph(t.edges)
+            assert diameter(t) == nx.diameter(g)
 
 
 def test_diameter_single_node():
@@ -193,7 +209,8 @@ def graphs(draw):
 @given(graphs())
 @settings(max_examples=200, deadline=None)
 def test_graph_oracles_match_networkx(t):
-    nx = pytest.importorskip("networkx")
+    if nx is None:
+        pytest.skip("networkx is not installed")
     g = nx.Graph()
     g.add_nodes_from(t.nodes)
     g.add_edges_from(t.edges)
@@ -205,7 +222,7 @@ def test_graph_oracles_match_networkx(t):
             assert inclusive == set(nx.ego_graph(g, node, radius=k))
             assert exclusive == nx.descendants_at_distance(g, node, k)
     if nx.is_connected(g):
-        assert diameter(t) == nx.diameter(g)
+        assert diameter(t) == nx.diameter(g) == max(eccentricity(t, n) for n in t.nodes)
     else:
         with pytest.raises(GraphError, match="disconnected"):
             diameter(t)

@@ -458,6 +458,12 @@ def observed(cfg):
 
 @settings(max_examples=200, deadline=None)
 @given(churn_configs())
+# Incremental runs fall quiet (every message 1) by round 5 and carry their
+# rounds forward until a join (the joiner's news has to flood) or a leave.
+@example(config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
+                events=(JoinEvent(10, 7, (1,), 2),), max_rounds=30))
+@example(config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
+                loss_q=0.3, seed=3, events=(LeaveEvent(10, 4),), max_rounds=30))
 def test_memos_change_nothing(cfg):
     with_memos = observed(cfg)
     with pytest.MonkeyPatch.context() as patch:
@@ -497,3 +503,53 @@ def test_an_unchanged_message_is_merged_once(monkeypatch):
                if trace.round_index == 0
                or trace.messages[sender] != result.traces[trace.round_index - 1].messages[sender]]
     assert sorted(calls) == sorted(changed)
+
+
+def test_quiet_rounds_form_no_messages(monkeypatch):
+    calls = []
+
+    def spy(state):
+        calls.append(state.agent_id)
+        return form_message(state)
+
+    monkeypatch.setattr(sim, "form_message", spy)
+    events = (JoinEvent(12, 7, (1,), 2), LeaveEvent(20, 3))
+    event_rounds = {e.round_index for e in events}
+    cfg = config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
+                 loss_q=0.3, seed=2, events=events, max_rounds=30, extra_rounds=30)
+    formed, expected, carried = [], [], []
+    previous = None
+    for trace in iter_rounds(cfg):
+        formed.append(len(calls))
+        calls.clear()
+        # Round k is formed up to and including the first round whose every
+        # message is 1, and again from the next event on.
+        k = trace.round_index
+        quiet = previous is not None and set(previous.messages.values()) == {1}
+        if quiet and k not in event_rounds:
+            expected.append(0)
+            carried.append((previous, trace))
+        else:
+            expected.append(len(trace.messages) - (k == 20))  # the leaver says goodbye
+        previous = trace
+    assert formed == expected
+    assert len(formed) == 30 and formed.count(0) > 15
+    for before, after in carried:
+        assert after.messages is before.messages and after.products is before.products
+
+
+def test_dropped_is_every_directed_edge_not_delivered():
+    cfg = config(topology=TopologySpec(family="cycle", n=8), variant=Variant.INCREMENTAL,
+                 loss_q=0.3, seed=5, drop_schedule=((1, 1, 2), (1, 3, 2), (6, 5, 6)),
+                 events=(JoinEvent(3, 9, (1, 5), 2),), max_rounds=12, extra_rounds=12)
+    rounds = iter_rounds(cfg)
+    lost = 0
+    for trace in rounds:
+        topology = rounds.topology  # no leave, so the round's own topology
+        directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
+        delivered = set(trace.delivered)
+        assert trace.dropped == [e for e in directed if e not in delivered]
+        forced = {(u, v) for r, u, v in cfg.drop_schedule if r == trace.round_index}
+        assert forced <= set(trace.dropped)
+        lost += len(trace.dropped) - len(forced)
+    assert lost > 0
