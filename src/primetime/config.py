@@ -109,6 +109,8 @@ def _parse_loss(parser) -> tuple[float, tuple[tuple[int, int, int], ...]]:
             _fail("loss.q", f"must be in [0, 1), got {q}")
     elif mode != "none":
         _fail("loss.mode", f"expected 'none' or 'bernoulli', got {mode!r}")
+    elif parser.has_option("loss", "q"):
+        _fail("loss.q", "only read with mode = bernoulli")
     drops = []
     raw = parser.get("loss", "drops", fallback="")
     for token in raw.split():
@@ -172,6 +174,8 @@ def _parse(parser, path) -> SimConfig:
             _fail("data.values", f"expected integers, got {raw!r}")
     elif mode != "random":
         _fail("data.mode", f"expected 'random' or 'explicit', got {mode!r}")
+    elif parser.has_option("data", "values"):
+        _fail("data.values", "only read with mode = explicit")
 
     q, drops = _parse_loss(parser)
     cfg = SimConfig(

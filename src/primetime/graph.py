@@ -194,8 +194,8 @@ def generate(family: str, n: int, p: float | None = None,
         raise GraphError(f"random_connected needs edge probability in (0, 1], got {p}")
     rng = random.Random(seed)
     for _ in range(_MAX_REDRAWS):
-        edges = [(i, j) for i in nodes for j in nodes
-                 if i < j and rng.random() < p]
+        edges = [(i, j) for i in nodes for j in range(i + 1, n + 1)
+                 if rng.random() < p]
         candidate = Topology(nodes, edges, require_connected=False)
         if candidate.is_connected():
             return candidate

@@ -115,24 +115,23 @@ def _block(b: int) -> tuple[int, list[int]]:
     return _blocks[b]
 
 
+# The primes a block shares with the residue are divided out by exponent
+# level: level 1 is their product, and each next level is the part of the
+# last one that still divides what is left.  That is one division and one gcd
+# per level, not one division per prime power.  Valid messages carry small
+# exponents; past this many levels, the primes still dividing go to `_strip`.
 _ONE_AT_A_TIME = 16
 
 
 def _strip(residue: int, p: int) -> tuple[int, int]:
     """(residue // p**e, e) for the largest e with p**e dividing `residue`.
 
-    Valid messages carry small exponents, so p is divided out one at a time
-    at first.  Past _ONE_AT_A_TIME divisions the rest goes by p, p**2, p**4,
-    ... while the power divides, then by the same powers in reverse, so a
-    hostile exponent costs O(log e) divisions, not e.
+    Divides by p, p**2, p**4, ... while the power divides, then by the same
+    powers in reverse, so a hostile exponent costs O(log e) divisions, not
+    e.  `_factorize` calls it only for a prime that divides all of the first
+    _ONE_AT_A_TIME exponent levels.
     """
     exponent = 0
-    while exponent < _ONE_AT_A_TIME:
-        quotient, remainder = divmod(residue, p)
-        if remainder:
-            return residue, exponent
-        residue = quotient
-        exponent += 1
     powers = []
     power = p
     while True:
@@ -166,16 +165,29 @@ def _factorize(message: int, max_exponent: int) -> tuple[tuple[int, int], ...]:
         if residue == 1:
             break
         product, primes = _block(b)
-        shared = gcd(residue, product)
-        if shared == 1:
+        level = gcd(residue, product)
+        if level == 1:
             continue
+        # levels[k] is the product of the block's primes of exponent > k.
+        levels = []
+        while level > 1 and len(levels) < _ONE_AT_A_TIME:
+            levels.append(level)
+            residue //= level
+            level = gcd(residue, level)
+        shared = levels[0]
         for p in primes:
-            if shared % p == 0:
-                residue, exponent = _strip(residue, p)
-                factors.append((p, exponent))
-                if shared == p:
-                    break
-                shared //= p
+            if shared % p:
+                continue
+            exponent = 1
+            while exponent < len(levels) and levels[exponent] % p == 0:
+                exponent += 1
+            if level % p == 0:
+                residue, rest = _strip(residue, p)
+                exponent += rest
+            factors.append((p, exponent))
+            if shared == p:
+                break
+            shared //= p
     if residue > 1:
         # The residue itself can be too long to format as decimal.
         raise CodecError(

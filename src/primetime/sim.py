@@ -457,46 +457,54 @@ TRACE_COLUMNS = ("round", "agent", "prime", "message_decimal", "message_bits",
                  "table_size", "active")
 
 
-def trace_rows(rounds: Rounds) -> Iterator[tuple]:
-    """Flatten a run's stream into (round, agent, ...) rows, one per round
-    and agent ever present, as the rounds arrive.
+def write_trace_csv(rounds: Rounds, path) -> None:
+    """Write trace.csv as the stream runs: a row per round and agent ever
+    present, in agent order, CSV with CRLF line ends as the `csv` module
+    writes it, though no field ever needs quoting.
 
-    Agents absent from a round (departed or not yet joined) appear with
-    active=0 and zeroed message fields, keeping the table rectangular.
-    Every row names the agent's final prime.
+    An agent absent from a round (departed or not yet joined) has active=0
+    and zeroed message fields, keeping the table rectangular.  Every row
+    names the agent's final prime.
+
+    A message often reappears (the full variant resends an unchanged table,
+    and neighbours reach the same table a round apart), so the decimal text
+    of each message of the previous round is kept for reuse.  A quiet round
+    shares the previous round's dicts, and its rows are the previous round's
+    after the round number, so they are made once per quiet stretch and each
+    quiet round is written as one string.  Other rounds are written row by
+    row, so that no round's text is held whole.
     """
     traces = with_final_primes(rounds)
     primes = rounds.agent_primes
-    all_agents = sorted(primes)
-    for trace in traces:
-        for agent in all_agents:
-            prime = primes[agent]
-            message = trace.messages.get(agent)
-            if message is not None:
-                yield (trace.round_index, agent, prime, message, message.bit_length(),
-                       trace.table_sizes[agent], 1)
-            else:
-                yield (trace.round_index, agent, prime, 0, 0, 0, 0)
-
-
-def write_trace_csv(rounds: Rounds, path) -> None:
-    """Write trace.csv row by row as the stream runs: CSV with CRLF line
-    ends, as the `csv` module writes it, though no field ever needs quoting.
-    A message often repeats from one round to the next (the full variant
-    resends an unchanged table), so the decimal text of each message of the
-    previous round is kept for reuse, and only those."""
+    agents = sorted(primes)
     previous: dict[int, str] = {}
-    current: dict[int, str] = {}
-    current_round = None
+    texts: dict[int, str] = {}
+    messages = sizes = tails = None
+
+    def tail(agent: int) -> str:
+        """The agent's row after the round number."""
+        message = messages.get(agent)
+        if message is None:
+            return f"{agent},{primes[agent]},0,0,0,0"
+        text = texts.get(message)
+        if text is None:
+            text = texts[message] = previous.get(message) or decimal(message)
+        return f"{agent},{primes[agent]},{text},{message.bit_length()},{sizes[agent]},1"
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for round_index, agent, prime, message, bits, size, active in trace_rows(rounds):
-            if round_index != current_round:
-                current_round, previous, current = round_index, current, {}
-            text = current.get(message)
-            if text is None:
-                text = current[message] = previous.get(message) or decimal(message)
-            fh.write(f"{round_index},{agent},{prime},{text},{bits},{size},{active}\r\n")
+        for trace in traces:
+            k = trace.round_index
+            if trace.messages is messages and trace.table_sizes is sizes:
+                if tails is None:
+                    tails = [tail(agent) for agent in agents]
+                prefix = f"\r\n{k},"
+                fh.write(prefix[2:] + prefix.join(tails) + "\r\n")
+                continue
+            messages, sizes = trace.messages, trace.table_sizes
+            previous, texts, tails = texts, {}, None
+            for agent in agents:
+                fh.write(f"{k},{tail(agent)}\r\n")
 
 
 def summary_text(rounds: Rounds) -> str:

@@ -58,6 +58,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "loss.q" in capsys.readouterr().err
 
 
+def test_key_its_mode_ignores_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASIC + "\n[loss]\nq = 0.5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "loss.q: only read with mode = bernoulli" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", "x", "--out", "y", "--turbo"])

@@ -100,6 +100,18 @@ def test_invalid_q_names_field(tmp_path):
         load_config(write(tmp_path, MINIMAL + "\n[loss]\nmode = bernoulli\nq = 1\n"))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("[loss]\nq = 0.5\n", "loss.q"),
+    ("[loss]\nmode = none\nq = 0.5\n", "loss.q"),
+    ("[data]\nvalues = 1 2 3 4\n", "data.values"),
+    ("[data]\nmode = random\nvalues = 1 2 3 4\n", "data.values"),
+])
+def test_key_its_mode_ignores_is_rejected(tmp_path, section, key):
+    # both used to load as if absent: loss_q = 0.0, data_values = None
+    with pytest.raises(ConfigError, match=f"{key}: only read with mode = "):
+        load_config(write(tmp_path, MINIMAL + "\n" + section))
+
+
 def test_bad_family_names_field(tmp_path):
     with pytest.raises(ConfigError, match="topology.family"):
         load_config(write(tmp_path, "[topology]\nfamily = moebius\nn = 4\n"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -112,6 +114,27 @@ def test_generate_random_connected_deterministic():
     b = generate("random_connected", 20, 0.2, 7)
     assert a.edges == b.edges
     assert a.is_connected()
+
+
+def all_pairs_random_connected(n, p, seed):
+    """The edge draw over every ordered node pair, filtered to i < j: one
+    draw per unordered pair, in the same order as `generate`'s."""
+    rng = random.Random(seed)
+    nodes = range(1, n + 1)
+    while True:
+        edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < p]
+        candidate = Topology(nodes, edges, require_connected=False)
+        if candidate.is_connected():
+            return candidate.edges
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (2, 1.0, 0), (5, 0.5, 1), (12, 0.3, 11), (20, 0.2, 7), (40, 0.1, "3:graph"),
+    (256, 0.03, "0:graph"),
+])
+def test_random_connected_draws_one_edge_per_pair_in_order(n, p, seed):
+    assert generate("random_connected", n, p, seed).edges == \
+        all_pairs_random_connected(n, p, seed)
 
 
 def test_generate_rejects_bad_inputs():

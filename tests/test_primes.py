@@ -5,7 +5,7 @@ from time import perf_counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from primetime import primes
@@ -230,6 +230,17 @@ def protocol_messages(draw):
 
 @given(protocol_messages())
 @settings(max_examples=200, deadline=None)
+# Exponents around the 16 levels factored before the rest is stripped.
+@example((2**15 * 3**16 * 5**17 * 7**32 * 11**33, 33))
+@example((2**15 * 3**16 * 5**17, 16))
+@example((2**33 * 3**17 * 5**16 * 7 * 104_729**32, 33))
+# Several primes of one block at different exponents, some past the bound.
+@example((2 * 3**2 * 5**3 * 7**4 * 13**9 * 307**10 * 311**5, 9))
+@example((3**2 * 5**9 * 17**4 * 19**12, 9))
+# Primes 64 (311) and 65 (313), on either side of a block boundary.
+@example((311**17 * 313**16, 33))
+@example((311**33 * 313**15 * 317**2, 33))
+@example((311**3 * 313**33 * 1_000_003, 9))
 def test_decode_matches_trial_division(case):
     message, bound = case
     expected = codec_outcome(trial_division_decode, message, bound)

@@ -11,7 +11,7 @@ from primetime.errors import CodecError, ProtocolError
 from primetime.primes import _factorize, decode
 from primetime.protocol import (Variant, form_message, join, leave,
                                 make_agent, receive_message)
-from primetime.sim import SimConfig, TopologySpec, run
+from primetime.sim import JoinEvent, SimConfig, TopologySpec, iter_rounds, run
 
 
 def fresh(variant=Variant.PRIMETIME, prime=7, value=2, max_value=4):
@@ -152,6 +152,41 @@ def test_incremental_run_factors_each_broadcast_once(family, n):
                            variant=Variant.INCREMENTAL, max_value=4, seed=0))
     sent = {t.messages[sender] for t in result.traces for sender, _ in t.delivered} - {1}
     assert _factorize.cache_info().misses == len(sent)
+
+
+def test_merges_decode_through_the_protocol_hook(monkeypatch):
+    # the benchmark's tracer counts decoded pairs by replacing protocol.decode
+    calls = []
+    inside_news = []
+
+    def counting_decode(message, max_exponent):
+        calls.append(message)
+        return decode(message, max_exponent)
+
+    def counting_news(state, message, max_exponent):
+        inside_news.append(len(calls))
+        news = real_news(state, message, max_exponent)
+        inside_news[-1] = len(calls) - inside_news[-1]
+        return news
+
+    real_news = protocol._news
+    monkeypatch.setattr(protocol, "decode", counting_decode)
+    monkeypatch.setattr(protocol, "_news", counting_news)
+    topology = TopologySpec(family="random_connected", n=12, p=0.3)
+    rounds = iter_rounds(SimConfig(topology=topology, variant=Variant.INCREMENTAL,
+                                   loss_q=0.3, seed=5, drop_schedule=((1, 2, 1),),
+                                   events=(JoinEvent(6, 13, (1, 5), 2),)))
+    expected = 0
+    for trace in rounds:
+        expected += sum(1 for sender, _ in trace.delivered if trace.messages[sender] != 1)
+        assert len(calls) == expected  # one decode per delivered non-1 message
+    assert expected > 0 and inside_news == []
+
+    calls.clear()
+    for _ in iter_rounds(SimConfig(topology=topology, seed=5)):
+        pass
+    # loss-free, the full variant decodes only cofactors, all inside _news
+    assert calls and sum(inside_news) == len(calls)
 
 
 def test_receive_sentinel_removes_and_queues_relay():

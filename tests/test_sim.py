@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import random
@@ -15,7 +16,33 @@ from primetime.graph import diameter, eccentricity, generate, hop_sets
 from primetime.protocol import Variant, form_message
 from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
                            apply_loss, iter_rounds, run, summary_text,
-                           trace_rows, write_summary, write_trace_csv)
+                           with_final_primes, write_summary, write_trace_csv)
+
+
+def trace_rows(rounds):
+    """Row oracle of trace.csv: (round, agent, prime, message, bits,
+    table_size, active) per round and agent ever present, in agent order.
+    An absent agent has active=0 and zeroed message fields; every row names
+    the agent's final prime."""
+    traces = with_final_primes(rounds)
+    primes = rounds.agent_primes
+    for trace in traces:
+        for agent in sorted(primes):
+            message = trace.messages.get(agent)
+            if message is not None:
+                yield (trace.round_index, agent, primes[agent], message, message.bit_length(),
+                       trace.table_sizes[agent], 1)
+            else:
+                yield (trace.round_index, agent, primes[agent], 0, 0, 0, 0)
+
+
+def csv_text(rows):
+    """What `csv.writer` makes of the header and `rows`."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def config(**kw):
@@ -119,16 +146,48 @@ def test_trace_csv_writes_messages_past_the_str_digit_limit(tmp_path):
                  data_values=(1000,) * 10)
     assert run(cfg).peak_message_bits > 4300 * 3.33
     write_trace_csv(iter_rounds(cfg), tmp_path / "trace.csv")
-    expected = io.StringIO(newline="")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        writer = csv.writer(expected)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace_rows(iter_rounds(cfg)))
+        expected = csv_text(trace_rows(iter_rounds(cfg)))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("cfg", [
+    # full variant: neighbours reach the same table a round apart
+    config(topology=TopologySpec(family="path", n=7)),
+    # incremental, lossy: quiet stretches end at a join and at a leave; the
+    # leaver's id comes back with a new join
+    config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
+           loss_q=0.3, seed=4, max_rounds=60,
+           events=(JoinEvent(10, 7, (1,), 2), LeaveEvent(25, 3), JoinEvent(40, 3, (2, 4), 1))),
+    # full variant with churn and forced drops: table sizes change while the
+    # message repeats
+    config(topology=TopologySpec(family="cycle", n=5), loss_q=0.2, seed=2,
+           drop_schedule=((1, 1, 2), (2, 2, 3)),
+           events=(LeaveEvent(6, 2), JoinEvent(12, 9, (1, 3), 4))),
+])
+def test_trace_csv_matches_the_row_oracle(tmp_path, cfg):
+    write_trace_csv(iter_rounds(cfg), tmp_path / "trace.csv")
+    expected = csv_text(trace_rows(iter_rounds(cfg)))
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
+def test_trace_csv_repeats_rows_only_when_both_dicts_are_shared(tmp_path):
+    # A quiet round shares both the messages and the table_sizes dicts.  The
+    # engine never shares one alone, so these rounds are made by hand: one
+    # messages dict, three sizes for agent 1.
+    rounds = run(config(topology=TopologySpec(family="path", n=2), data_values=(1, 2)))
+    first = rounds.traces[0]
+    rounds.traces = rounds._rounds = [
+        dataclasses.replace(first, round_index=k, table_sizes={1: k + 1, 2: 1})
+        for k in range(3)]
+    write_trace_csv(rounds, tmp_path / "trace.csv")
+    expected = csv_text(trace_rows(rounds))
+    assert "\r\n2,1,2,2,2,3,1\r\n" in expected
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
 
 
 def test_snapshots_share_the_running_products():
