@@ -33,7 +33,8 @@ the rest are filtered out against the table's items at C level.
 Merging a message a second time, after it merged cleanly (no exception and
 no note), changes nothing under either variant: a pair leaves a table only
 through a goodbye, which puts its prime in `departed` for good.  The engine
-relies on this to skip a sender's unchanged message (see `sim`).
+relies on this to skip a sender's unchanged message (see `sim`); the tests
+check that against a naive round loop that merges every delivery.
 """
 from __future__ import annotations
 

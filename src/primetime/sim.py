@@ -21,7 +21,8 @@ changes; and a quiet round, one after a round whose every message was 1
 with no event of its own, carries the previous round's snapshot and
 messages forward, because nothing that makes them can have changed.  Only
 the incremental variant falls quiet, and only the loss draws of such a
-round are made afresh.
+round are made afresh.  The tests check the loop against a naive reading
+of it, with no memo, in `tests/test_protocol_reference.py`.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
@@ -57,11 +58,6 @@ class LeaveEvent:
 
 
 Event = Union[JoinEvent, LeaveEvent]
-
-# The three memos of the round loop are exact; tests turn them off (the loop
-# then forgets them every round and never carries a round) to check that they
-# change nothing.
-_MEMOS = True
 
 
 @dataclass(frozen=True)
@@ -305,9 +301,6 @@ class Rounds:
         for k in range(max_rounds):
             anomalies: list[str] = []
             leaving: int | None = None
-            if not _MEMOS:
-                merged.clear()
-                flags.clear()
 
             event = events_by_round.get(k)
             if isinstance(event, JoinEvent):
@@ -331,6 +324,8 @@ class Rounds:
             elif isinstance(event, LeaveEvent):
                 if event.node not in self.topology.nodes:
                     raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
+                if self.topology.nodes == (event.node,):
+                    raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
                 leaving = event.node
 
             present = self.topology.nodes
@@ -358,7 +353,7 @@ class Rounds:
                         messages[i] = form_message(agents[i])
                 bits = [m.bit_length() for m in messages.values()]
                 peak_bits, round_bits = max(bits, default=0), sum(bits)
-                quiet = _MEMOS and peak_bits == 1  # the only 1-bit message is 1
+                quiet = peak_bits == 1  # the only 1-bit message is 1
 
             directed = self.topology.directed_edges
             forced = forced_drops.get(k)

@@ -368,6 +368,9 @@ def test_run_that_fails_part_way_keeps_the_rows_so_far(tmp_path):
 @pytest.mark.parametrize("schedule, message", [
     ("3 join 4 1 2", "events: join of present agent 4 at round 3"),
     ("3 join 9 77 2", "events: join of agent 9 at round 3 attaches to absent agent 77"),
+    # the path empties leaf by leaf, so no leave but the last disconnects it
+    ("0 leave 1\n    1 leave 2\n    2 leave 3\n    3 leave 4",
+     "events: leave of the last agent 4 at round 3"),
 ])
 def test_bad_join_exits_2_like_a_bad_leave(tmp_path, capsys, schedule, message):
     cfg = write_config(tmp_path, BASIC + f"\n[events]\nschedule =\n    {schedule}\n")

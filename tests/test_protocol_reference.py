@@ -1,4 +1,5 @@
-"""Differential tests: the incremental protocol state against a reference.
+"""Differential tests: the incremental protocol state and the round loop
+against a reference.
 
 The reference below is the direct reading of the protocol: every message
 is the encoding of the whole table (full variant) or of the table minus the
@@ -7,21 +8,26 @@ reception decodes the whole message and merges it pair by pair.  The
 merge is applied to a copy and committed only if it succeeds, so a
 rejected message changes nothing.  The package's running product, unsent
 log and gcd-cofactor merge must agree with it on every observable.
+
+`ref_run` drives the reference agents through a naive synchronous round
+loop, and the engine's loop, with its memos and quiet-round carry, must
+agree with it on every round, agent and total.
 """
 import copy
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-import primetime.sim as sim
-from primetime.errors import CodecError, ProtocolError
+from primetime.errors import CodecError, ConfigError, ProtocolError
+from primetime.graph import eccentricity, generate
 from primetime.primes import decode, encode, nth_prime, smallest_unused_prime
 from primetime.protocol import (Variant, form_message, leave, make_agent,
                                 receive_message)
-from primetime.sim import JoinEvent, LeaveEvent, SimConfig, TopologySpec, run
+from primetime.sim import JoinEvent, LeaveEvent, SimConfig, TopologySpec, iter_rounds
 
 UNIVERSE = [nth_prime(i) for i in range(1, 9)]  # 2 .. 19
 NON_SMOOTH = 1_000_003  # a prime beyond the PRIME_CAP-th prime
@@ -122,7 +128,7 @@ def outcome(fn, *args):
     """(result, None) or (None, (exception type, text))."""
     try:
         return fn(*args), None
-    except (ProtocolError, CodecError) as exc:
+    except (ProtocolError, CodecError, ConfigError) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -220,41 +226,258 @@ def test_rejected_message_changes_nothing():
     assert state.goodbye_relay == before.goodbye_relay == {13}
 
 
-def run_with_reference(cfg, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(sim, "make_agent", ref_make)
-        patch.setattr(sim, "join", ref_join)
-        patch.setattr(sim, "form_message", ref_form)
-        patch.setattr(sim, "receive_message", ref_receive)
-        patch.setattr(sim, "leave", ref_leave)
-        return run(cfg)
+def ref_connected(adjacency):
+    seen, todo = set(), [min(adjacency)]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(adjacency[node])
+    return len(seen) == len(adjacency)
+
+
+def ref_run(cfg):
+    """The round loop read naively, over the reference agents: no memo, no
+    carry and no running total, every table copied at every snapshot.
+
+    Returns what `observed` returns for the engine: each round's RoundTrace
+    fields, the primes and values of every agent present so far, and the
+    five totals, derived from the rounds at the end.
+    """
+    cfg.validate()
+    topology = cfg.topology.build(cfg.seed)
+    adjacency = {u: set(topology.adjacency[u]) for u in topology.nodes}
+    if cfg.data_values is not None:
+        values = cfg.data_values
+    else:
+        data_rng = random.Random(f"{cfg.seed}:data")
+        values = [data_rng.randint(1, cfg.max_value) for _ in topology.nodes]
+    agents = {u: ref_make(u, nth_prime(index), value, cfg.variant, cfg.max_value)
+              for index, (u, value) in enumerate(zip(topology.nodes, values), 1)}
+    max_rounds = cfg.max_rounds or 4 * max(eccentricity(topology, u) for u in adjacency) + 16
+    events = {e.round_index: e for e in cfg.events}
+    last_event = max(events, default=0)
+    loss_rng = random.Random(f"{cfg.seed}:loss")
+    rounds, last_round = [], None
+    for k in range(max_rounds):
+        anomalies, leaver, event = [], None, events.get(k)
+        if isinstance(event, JoinEvent):
+            if event.node in adjacency:
+                raise ConfigError(f"events: join of present agent {event.node} at round {k}")
+            for a in event.attach_to:
+                if a not in adjacency:
+                    raise ConfigError(f"events: join of agent {event.node} at round {k} "
+                                      f"attaches to absent agent {a}")
+            joiner = ref_join(event.node, agents[min(event.attach_to)], event.value,
+                              cfg.variant, cfg.max_value)
+            holders = [i for i in sorted(adjacency) if agents[i].own_prime == joiner.own_prime]
+            if holders:
+                anomalies.append(f"round {k}: agent {event.node} joined with prime "
+                                 f"{joiner.own_prime}, already held by agent {holders[0]}")
+            agents[event.node] = joiner
+            adjacency[event.node] = set(event.attach_to)
+            for a in event.attach_to:
+                adjacency[a].add(event.node)
+        elif isinstance(event, LeaveEvent):
+            if event.node not in adjacency:
+                raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
+            if len(adjacency) == 1:
+                raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
+            leaver = event.node
+
+        present = sorted(adjacency)
+        tables = {i: dict(agents[i].table) for i in present}
+        required = {(agents[i].own_prime, agents[i].own_value) for i in present}
+        complete = all(required <= set(table.items()) for table in tables.values())
+        relaying = any(agents[i].goodbye_relay for i in present)
+        messages = {i: (ref_leave if i == leaver else ref_form)(agents[i]) for i in present}
+
+        edges = tuple(sorted((u, v) for u in present for v in adjacency[u]))
+        forced = {(u, v) for r, u, v in cfg.drop_schedule if r == k}
+        delivered = [e for e in edges if e not in forced]
+        if cfg.loss_q > 0:
+            delivered = [e for e in delivered if loss_rng.random() >= cfg.loss_q]
+        for receiver in present:
+            for sender in [s for s, r in delivered if r == receiver]:
+                try:
+                    notes = ref_receive(agents[receiver], messages[sender])
+                except (ProtocolError, CodecError) as exc:
+                    anomalies.append(f"round {k}: agent {receiver} rejected "
+                                     f"message from {sender}: {exc}")
+                    continue
+                anomalies += [f"round {k}: agent {receiver} <- agent {sender}: {note}"
+                              for note in notes]
+
+        if leaver is not None:
+            for v in adjacency.pop(leaver):
+                adjacency[v].discard(leaver)
+            if not ref_connected(adjacency):
+                anomalies.append(f"round {k}: leave of agent {leaver} disconnected the graph")
+
+        products = {i: encode(table.items(), max_exponent=cfg.max_value)
+                    for i, table in tables.items()}
+        sizes = {i: len(table) for i, table in tables.items()}
+        dropped = [e for e in edges if e not in delivered]
+        rounds.append((k, products, sizes, complete, messages, edges, delivered, dropped,
+                       anomalies))
+        if last_round is None and complete and k > last_event and not relaying:
+            last_round = k + cfg.extra_rounds - 1
+        if k == last_round:
+            break
+
+    bits = [m.bit_length() for r in rounds for m in r[4].values()]
+    completed = [r[0] for r in rounds if r[3]]
+    totals = (len(rounds), completed[0] if completed else None,
+              max(bits, default=0), sum(bits), sum(len(r[8]) for r in rounds))
+    return (rounds, {i: a.own_prime for i, a in agents.items()},
+            {i: a.own_value for i, a in agents.items()}, totals)
+
+
+def observed(cfg):
+    """Everything a run of the engine shows: every RoundTrace field by round,
+    the primes and values of every agent present so far, and the five totals."""
+    stream = iter_rounds(cfg)
+    rounds = [(t.round_index, t.products, t.table_sizes, t.complete, t.messages, t.edges,
+               t.delivered, t.dropped, t.anomalies) for t in stream]
+    totals = (stream.rounds_run, stream.completion_round, stream.peak_message_bits,
+              stream.total_bits_transmitted, stream.anomaly_count)
+    return rounds, stream.agent_primes, stream.agent_values, totals
+
+
+def assert_matches_reference(cfg):
+    assert outcome(observed, cfg) == outcome(ref_run, cfg)
+
+
+@st.composite
+def small_configs(draw):
+    family, n = draw(st.sampled_from([("path", 1), ("path", 4), ("cycle", 5),
+                                      ("star", 5), ("complete", 4), ("path", 6)]))
+    topology = generate(family, n)
+    directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
+    drops = draw(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(directed)),
+                          max_size=4)) if directed else []
+    events = []
+    join_round = draw(st.none() | st.integers(0, 10))
+    attach = draw(st.lists(st.sampled_from(topology.nodes), min_size=1, max_size=2,
+                           unique=True))
+    if join_round is not None:
+        events.append(JoinEvent(join_round, n + 1, tuple(attach), draw(st.integers(1, 4))))
+    # the leaver is never an attach node, so a later join still finds them
+    leavers = [v for v in topology.nodes if v not in attach]
+    leave_round = draw(st.none() | st.integers(0, 12).filter(lambda r: r != join_round))
+    if leavers and leave_round is not None:
+        events.append(LeaveEvent(leave_round, draw(st.sampled_from(leavers))))
+    return SimConfig(topology=TopologySpec(family=family, n=n),
+                     variant=draw(st.sampled_from(list(Variant))),
+                     loss_q=draw(st.sampled_from([0.0, 0.2, 0.5])),
+                     drop_schedule=tuple((r, u, v) for r, (u, v) in drops),
+                     events=tuple(events), max_rounds=30,
+                     extra_rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+
+
+@st.composite
+def churn_configs(draw):
+    """Small runs with loss, forced drops, a leave, the leaver's id joining
+    again, a fresh join, and a sponsor starved of news until its joiner
+    arrives, so that the joiner can take a prime in use with another value
+    and its messages conflict."""
+    family, n = draw(st.sampled_from([("path", 4), ("cycle", 5), ("cycle", 6),
+                                      ("star", 5), ("complete", 4)]))
+    topology = generate(family, n)
+    directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
+    drops = draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(directed)),
+                          max_size=6))
+    rounds = iter(draw(st.permutations(range(12))))
+    events = []
+    leaver = draw(st.sampled_from(topology.nodes))
+    stay = [v for v in topology.nodes if v != leaver]
+    if draw(st.booleans()):
+        leave_round = next(rounds)
+        events.append(LeaveEvent(leave_round, leaver))
+        if draw(st.booleans()):  # the same id joins again
+            events.append(JoinEvent(leave_round + 1 + draw(st.integers(0, 6)), leaver,
+                                    (draw(st.sampled_from(stay)),), draw(st.integers(1, 4))))
+    join_round = next(rounds)
+    if draw(st.booleans()) and all(e.round_index != join_round for e in events):
+        sponsor = draw(st.sampled_from(stay))
+        events.append(JoinEvent(join_round, n + 1, (sponsor,), draw(st.integers(1, 4))))
+        if draw(st.booleans()):
+            drops += [(r, (u, sponsor)) for r in range(join_round)
+                      for u in topology.adjacency[sponsor]]
+    return SimConfig(topology=TopologySpec(family=family, n=n),
+                     variant=draw(st.sampled_from(list(Variant))),
+                     loss_q=draw(st.sampled_from([0.0, 0.3])),
+                     drop_schedule=tuple((r, u, v) for r, (u, v) in drops),
+                     events=tuple(events), max_rounds=30,
+                     extra_rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+
+
+CYCLE6 = TopologySpec(family="cycle", n=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(churn_configs())
+# Incremental runs fall quiet (every message 1) by round 5 and carry their
+# rounds forward until a join (the joiner's news has to flood) or a leave.
+@example(SimConfig(topology=CYCLE6, variant=Variant.INCREMENTAL,
+                   events=(JoinEvent(10, 7, (1,), 2),), max_rounds=30))
+@example(SimConfig(topology=CYCLE6, variant=Variant.INCREMENTAL, loss_q=0.3, seed=3,
+                   events=(LeaveEvent(10, 4),), max_rounds=30))
+# Agent 1 leaves and its id joins again a round later.  A merge memo kept
+# across the rejoin skips a message the new agent never merged.
+@example(SimConfig(topology=TopologySpec(family="star", n=5), loss_q=0.3,
+                   events=(LeaveEvent(0, 1), JoinEvent(1, 1, (2,), 1)),
+                   max_rounds=30, extra_rounds=1))
+def test_churn_runs_match_the_reference_loop(cfg):
+    assert_matches_reference(cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+# The leaver is present at round 4 and retires after it, so the required
+# pairs shrink at round 5, a round without an event.  Completion flags kept
+# across that change (a cache reset only on event rounds) stay false, and
+# the run then never completes.
+@example(SimConfig(topology=CYCLE6, loss_q=0.4, seed=718, events=(LeaveEvent(4, 6),),
+                   max_rounds=30))
+def test_small_runs_match_the_reference_loop(cfg):
+    assert_matches_reference(cfg)
 
 
 CHURN = (LeaveEvent(10, 4), JoinEvent(20, 13, (3, 5), 3), LeaveEvent(30, 9))
-
-
-def observed(cfg, runner):
-    """Everything a run shows, or the exception type and text it raised."""
-    result, error = outcome(runner, cfg)
-    if error is not None:
-        return error
-    rounds = [(t.tables, t.messages, t.delivered, t.anomalies) for t in result.traces]
-    return rounds, result.agent_primes, result.completion_round
+CYCLE12 = TopologySpec(family="cycle", n=12)
+# The sponsor, agent 3, hears nothing before the join, so the joiner takes
+# agent 1's prime 2 with another value and agents holding 2 reject it.
+STARVED = SimConfig(topology=CYCLE12, data_values=(1, 2, 3, 4) * 3, max_rounds=50,
+                    drop_schedule=tuple((r, src, 3) for r in range(20) for src in (2, 4)),
+                    events=CHURN)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_with_loss_and_churn_matches_reference(variant, monkeypatch):
-    cycle = TopologySpec(family="cycle", n=12)
-    configs = [SimConfig(topology=cycle, variant=variant, loss_q=0.2, seed=seed,
-                         max_rounds=50, events=CHURN) for seed in range(4)]
-    # The sponsor, agent 3, hears nothing before the join, so the joiner takes
-    # agent 1's prime 2 with another value and agents holding 2 reject it.
-    starved = tuple((r, src, 3) for r in range(20) for src in (2, 4))
-    configs.append(SimConfig(topology=cycle, variant=variant, data_values=(1, 2, 3, 4) * 3,
-                             drop_schedule=starved, max_rounds=50, events=CHURN))
-    for cfg in configs:
-        assert observed(cfg, run) == observed(
-            cfg, lambda c: run_with_reference(c, monkeypatch))
-    rounds, primes, _ = observed(configs[-1], run)
+@pytest.mark.parametrize("cfg", [
+    *(SimConfig(topology=CYCLE12, loss_q=0.2, seed=seed, max_rounds=50, events=CHURN)
+      for seed in range(4)),
+    STARVED,
+], ids=["lossy_seed0", "lossy_seed1", "lossy_seed2", "lossy_seed3", "starved_sponsor"])
+def test_lossy_churn_runs_match_the_reference_loop(cfg, variant):
+    assert_matches_reference(replace(cfg, variant=variant))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_starved_sponsor_hands_out_a_prime_in_use(variant):
+    rounds, primes, _, _ = observed(replace(STARVED, variant=variant))
     assert primes[13] == 2
-    assert any("rejected" in note for _, _, _, notes in rounds for note in notes)
+    assert any("rejected" in note for *_, notes in rounds for note in notes)
+
+
+@pytest.mark.parametrize("topology, event", [
+    (TopologySpec(family="path", n=3), JoinEvent(2, 3, (1,), 1)),
+    (TopologySpec(family="path", n=3), JoinEvent(2, 9, (1, 77), 1)),
+    (TopologySpec(family="path", n=3), LeaveEvent(2, 9)),
+    (TopologySpec(family="path", n=1), LeaveEvent(2, 1)),
+], ids=["join_present", "attach_absent", "leave_absent", "leave_last"])
+def test_misfit_events_raise_as_in_the_reference_loop(topology, event):
+    cfg = SimConfig(topology=topology, events=(event,))
+    result, error = outcome(observed, cfg)
+    assert result is None and error[0] is ConfigError
+    assert outcome(ref_run, cfg) == (None, error)

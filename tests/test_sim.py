@@ -7,8 +7,6 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
-import hypothesis.strategies as st
 
 import primetime.sim as sim
 from primetime.errors import ConfigError
@@ -408,126 +406,6 @@ def test_explicit_values_validated():
 def test_stop_rule_pins_rounds_run_and_completion(cfg, expected):
     result = run(cfg)
     assert (len(result.traces), result.completion_round) == expected
-
-
-def set_predicate(result):
-    """The completion predicate read directly, for every round: every
-    present agent's table, as a set of pairs, contains the pairs of every
-    present agent.  Reading the pairs from `agent_primes`/`agent_values` is
-    exact as long as no id is reused, which `small_configs` ensures."""
-    primes, values = result.agent_primes, result.agent_values
-    complete = []
-    for trace in result.traces:
-        required = {(primes[i], values[i]) for i in trace.products}
-        complete.append(all(required <= set(trace.tables[i].items()) for i in trace.products))
-    return complete
-
-
-@st.composite
-def small_configs(draw):
-    family, n = draw(st.sampled_from([("path", 1), ("path", 4), ("cycle", 5),
-                                      ("star", 5), ("complete", 4), ("path", 6)]))
-    topology = generate(family, n)
-    directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
-    drops = draw(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(directed)),
-                          max_size=4)) if directed else []
-    events = []
-    join_round = draw(st.none() | st.integers(0, 10))
-    attach = draw(st.lists(st.sampled_from(topology.nodes), min_size=1, max_size=2,
-                           unique=True))
-    if join_round is not None:
-        events.append(JoinEvent(join_round, n + 1, tuple(attach), draw(st.integers(1, 4))))
-    # the leaver is never an attach node, so a later join still finds them
-    leavers = [v for v in topology.nodes if v not in attach]
-    leave_round = draw(st.none() | st.integers(0, 12).filter(lambda r: r != join_round))
-    if leavers and leave_round is not None:
-        events.append(LeaveEvent(leave_round, draw(st.sampled_from(leavers))))
-    return config(topology=TopologySpec(family=family, n=n),
-                  variant=draw(st.sampled_from(list(Variant))),
-                  loss_q=draw(st.sampled_from([0.0, 0.2, 0.5])),
-                  drop_schedule=tuple((r, u, v) for r, (u, v) in drops),
-                  events=tuple(events), max_rounds=30,
-                  extra_rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_configs())
-# The leaver is present at round 4 and retires after it, so the required
-# pairs shrink at round 5, a round without an event.  Completion flags kept
-# across that change (a cache reset only on event rounds) stay false, and
-# the run then never completes.
-@example(config(topology=TopologySpec(family="cycle", n=6), loss_q=0.4, seed=718,
-                events=(LeaveEvent(4, 6),), max_rounds=30))
-def test_completion_round_matches_set_predicate(cfg):
-    result = run(cfg)
-    complete = set_predicate(result)
-    assert [t.complete for t in result.traces] == complete
-    assert result.completion_round == (complete.index(True) if True in complete else None)
-
-
-@st.composite
-def churn_configs(draw):
-    """Small runs with loss, forced drops, a leave, the leaver's id joining
-    again, a fresh join, and a sponsor starved of news until its joiner
-    arrives, so that the joiner can take a prime in use with another value
-    and its messages conflict."""
-    family, n = draw(st.sampled_from([("path", 4), ("cycle", 5), ("cycle", 6),
-                                      ("star", 5), ("complete", 4)]))
-    topology = generate(family, n)
-    directed = sorted((u, v) for u in topology.nodes for v in topology.adjacency[u])
-    drops = draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(directed)),
-                          max_size=6))
-    rounds = iter(draw(st.permutations(range(12))))
-    events = []
-    leaver = draw(st.sampled_from(topology.nodes))
-    stay = [v for v in topology.nodes if v != leaver]
-    if draw(st.booleans()):
-        leave_round = next(rounds)
-        events.append(LeaveEvent(leave_round, leaver))
-        if draw(st.booleans()):  # the same id joins again
-            events.append(JoinEvent(leave_round + 1 + draw(st.integers(0, 6)), leaver,
-                                    (draw(st.sampled_from(stay)),), draw(st.integers(1, 4))))
-    join_round = next(rounds)
-    if draw(st.booleans()) and all(e.round_index != join_round for e in events):
-        sponsor = draw(st.sampled_from(stay))
-        events.append(JoinEvent(join_round, n + 1, (sponsor,), draw(st.integers(1, 4))))
-        if draw(st.booleans()):
-            drops += [(r, (u, sponsor)) for r in range(join_round)
-                      for u in topology.adjacency[sponsor]]
-    return config(topology=TopologySpec(family=family, n=n),
-                  variant=draw(st.sampled_from(list(Variant))),
-                  loss_q=draw(st.sampled_from([0.0, 0.3])),
-                  drop_schedule=tuple((r, u, v) for r, (u, v) in drops),
-                  events=tuple(events), max_rounds=30,
-                  extra_rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
-
-
-def observed(cfg):
-    """Everything a run shows, or the text of the ConfigError it raised."""
-    try:
-        result = run(cfg)
-    except ConfigError as exc:
-        return str(exc)
-    rounds = [(t.round_index, t.products, t.table_sizes, t.complete, t.messages,
-               t.delivered, t.dropped, t.anomalies) for t in result.traces]
-    totals = (result.rounds_run, result.completion_round, result.peak_message_bits,
-              result.total_bits_transmitted, result.anomaly_count)
-    return rounds, result.agent_primes, result.agent_values, totals
-
-
-@settings(max_examples=200, deadline=None)
-@given(churn_configs())
-# Incremental runs fall quiet (every message 1) by round 5 and carry their
-# rounds forward until a join (the joiner's news has to flood) or a leave.
-@example(config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
-                events=(JoinEvent(10, 7, (1,), 2),), max_rounds=30))
-@example(config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
-                loss_q=0.3, seed=3, events=(LeaveEvent(10, 4),), max_rounds=30))
-def test_memos_change_nothing(cfg):
-    with_memos = observed(cfg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_MEMOS", False)
-        assert observed(cfg) == with_memos
 
 
 @pytest.mark.parametrize("message, note", [
