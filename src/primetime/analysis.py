@@ -84,7 +84,10 @@ def check_diameter_completion(result: Rounds) -> CheckVerdict:
 def check_hop_equations(result: Rounds) -> CheckVerdict:
     """Every recorded message must equal the hop-set product from the BFS
     oracle: inclusive sets for the full variant, exclusive for incremental
-    (whose sets empty out past each node's eccentricity, giving message 1)."""
+    (whose sets empty out past each node's eccentricity, giving message 1).
+
+    Reads the stream from round 0: raises ValueError if it was already
+    consumed, in whole or in part, as the rounds it missed are unchecked."""
     require_closed_lossless(result.config, "check_hop_equations")
     topology = result.initial_topology
     primes, values = result.agent_primes, result.agent_values
@@ -117,6 +120,9 @@ def check_hop_equations(result: Rounds) -> CheckVerdict:
                     counterexample={"agent": agent, "round": k, "message": decimal(message),
                                     "expected": decimal(expected)},
                 )
+    if count != result.rounds_run * len(topology.nodes):
+        raise ValueError(f"check_hop_equations saw {count} messages of "
+                         f"{result.rounds_run} rounds: the stream was already consumed")
     return CheckVerdict("hop_equations", True, detail=f"{count} messages match")
 
 

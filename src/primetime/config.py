@@ -218,11 +218,13 @@ def _int_list(raw: str, field: str) -> tuple[int, ...]:
     for token in raw.split():
         if ".." in token:
             try:
-                lo, hi = token.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-                continue
+                lo, hi = map(int, token.split(".."))
             except ValueError:
                 _fail(field, f"bad range {token!r}")
+            if hi < lo:
+                _fail(field, f"range {token!r} ends below its start")
+            out.extend(range(lo, hi + 1))
+            continue
         try:
             out.append(int(token))
         except ValueError:

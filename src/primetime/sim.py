@@ -12,17 +12,17 @@ as the round ends and keeps none, so a consumer that writes rows and keeps
 totals holds one round at a time; `run` drains the stream and keeps its
 rounds, which iterating it then replays.
 
-A round costs only what changed, through three exact memos of the loop.  A
+A round costs only what changed, through two exact memos of the loop.  A
 delivery equal to the last message that merged cleanly from that sender
-into that receiver is skipped, because merging it again is a no-op; each
-agent's completion flag is kept with the product it was computed from, so
-an unchanged table is not checked again until the set of required pairs
-changes; and a quiet round, one after a round whose every message was 1
-with no event of its own, carries the previous round's snapshot and
-messages forward, because nothing that makes them can have changed.  Only
-the incremental variant falls quiet, and only the loss draws of such a
-round are made afresh.  The tests check the loop against a naive reading
-of it, with no memo, in `tests/test_protocol_reference.py`.
+into that receiver is skipped, because merging it again is a no-op; and a
+quiet round, one whose messages merge nothing and would be formed again,
+skips its merges, and the rounds after it up to the next event carry its
+snapshot and messages forward, because nothing that makes them can have
+changed.  An incremental round is quiet when every message is 1, a
+full-variant one when every message equals every present agent's product;
+only the loss draws of a carried round are made afresh.  The tests check
+the loop against a naive reading of it, with no memo, in
+`tests/test_protocol_reference.py`.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
 trace byte for byte.
@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Iterator, Union
 
 from . import graph as graphmod
-from .errors import CodecError, ConfigError, ProtocolError
+from .errors import CodecError, ConfigError, GraphError, ProtocolError
 from .graph import Topology
 from .primes import decimal, decode, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
@@ -79,7 +79,10 @@ class TopologySpec:
         if self.family is None or self.n is None:
             raise ConfigError("topology: needs family+n, edge_file, or edges")
         graph_seed = f"{seed}:graph" if self.family == "random_connected" else None
-        return graphmod.generate(self.family, self.n, self.p, graph_seed)
+        try:
+            return graphmod.generate(self.family, self.n, self.p, graph_seed)
+        except GraphError as exc:  # a family the config cannot build
+            raise ConfigError(f"topology: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,9 @@ class RoundTrace:
 
     `edges` is every directed edge of the round's topology, the tuple the
     topology keeps, and `delivered` the ones that got through in the same
-    order; `dropped` is the rest, derived on first use.  A quiet round
-    shares the previous round's `products`, `table_sizes` and `messages`
+    order; `dropped` is the rest, derived on first use.  A carried round,
+    one after a round whose messages merged nothing, with no event of its
+    own, shares that round's `products`, `table_sizes` and `messages`
     objects, so a consumer must not change them.
     """
     round_index: int
@@ -246,15 +250,15 @@ class Rounds:
         snapshot is complete with no goodbye relay pending; it stops after
         round s + extra_rounds - 1, or at max_rounds.
 
-        Three exact memos keep a round's cost to what changed: the clean
-        merges (`merged`), the completion flags (`flags`) and the quiet-round
-        carry (`quiet`).  Each one's no-op argument is written where it is
-        kept.
+        Two exact memos keep a round's cost to what changed: the clean
+        merges (`merged`) and the quiet-round carry (`quiet`).  Each one's
+        no-op argument is written where it is kept.
         """
         cfg = self.config
         agents = self._agents
         max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * self.diameter + 16
         loss_rng = random.Random(f"{cfg.seed}:loss")
+        full = cfg.variant is Variant.PRIMETIME
 
         events_by_round = {e.round_index: e for e in cfg.events}
         last_event_round = max(events_by_round, default=0)
@@ -273,28 +277,24 @@ class Rounds:
         # returned a note is never stored, so it is merged, and rejected or
         # logged, every time it arrives.
         merged: dict[int, dict[int, int]] = {}
-        # agent -> (product, whether that table holds `flags_required`).  A
-        # table change always makes a new product int, and the entry keeps
-        # the old one alive so that its identity is not reused: the same
-        # product object means the same table.  `required` can change on any
-        # round, not only on an event round: a leaver is present at its own
-        # round and retires after it, so the set shrinks one round later.
-        flags: dict[int, tuple[int, bool]] = {}
-        flags_required: set[tuple[int, int]] = set()
-        # Whether every message of the round was 1.  A round after such a
-        # round, with no event of its own, is a fixed point: its snapshot,
-        # flags and messages are the previous round's, shared, and only its
-        # loss draws are made.  Every delivery of a quiet round is the message
-        # 1, which merges nothing, and `form_message` leaves `unsent` and
-        # `goodbye_relay` empty behind it, so no table, product, `unsent` or
-        # relay set changed.  No agent left in it, because a leave message is
-        # never 1, and with no event now none joins or leaves, so the topology
-        # and the required pairs are unchanged.  No relay was pending, because
-        # a pending relay makes a message other than 1.  So this round's
-        # snapshot equals the last one, every message is 1 again, and the
-        # round is quiet too, with no anomaly.  A full-variant message is its
-        # product, at least 2, so only the incremental variant falls quiet,
-        # and the carry ends by itself at the next join or leave.
+        # Whether the round's messages merge nothing and would be formed
+        # again: incremental, every message 1; full variant, every message
+        # equal to every present agent's product.  Such a round's merges are
+        # skipped.  Merging the message 1 is a no-op, and so is merging a
+        # full-variant table equal to the receiver's.  A goodbye relay or a
+        # leave makes a full-variant message differ from its product, so
+        # neither was in the round; a leave message is never 1, and a pending
+        # relay makes an incremental message other than 1.  So no table,
+        # product, relay set or, behind `form_message`, `unsent` changed, and
+        # no agent left.  The next round with no event of its own is then a
+        # fixed point: no agent joins or leaves, so the topology and the
+        # required pairs are unchanged; its snapshot, completion and messages
+        # are the previous round's, shared, and only its loss draws are made;
+        # and it is quiet too, with no anomaly.  The carry ends by itself at
+        # the next join or leave.  The full-variant clause needs its variant
+        # guard: an incremental agent's first message is its whole table, so
+        # a lone incremental agent's round 0 passes it, but its next message
+        # is 1, which is not formed again.
         quiet = False
 
         last_round: int | None = None
@@ -333,16 +333,7 @@ class Rounds:
                 products = {i: agents[i].product for i in present}
                 table_sizes = {i: len(agents[i].table) for i in present}
                 required = {(agents[i].own_prime, agents[i].own_value) for i in present}
-                if required != flags_required:
-                    flags, flags_required = {}, required
-                complete = True
-                for i, product in products.items():
-                    flag = flags.get(i)
-                    if flag is None or flag[0] is not product:
-                        flag = flags[i] = (product, agents[i].table.items() >= required)
-                    if not flag[1]:
-                        complete = False
-                        break
+                complete = all(agents[i].table.items() >= required for i in present)
                 relaying = any(agents[i].goodbye_relay for i in present)
 
                 messages: dict[int, int] = {}
@@ -353,7 +344,12 @@ class Rounds:
                         messages[i] = form_message(agents[i])
                 bits = [m.bit_length() for m in messages.values()]
                 peak_bits, round_bits = max(bits, default=0), sum(bits)
-                quiet = peak_bits == 1  # the only 1-bit message is 1
+                if full:
+                    product = products[present[0]]
+                    quiet = all(m == product for m in chain(messages.values(),
+                                                            products.values()))
+                else:
+                    quiet = peak_bits == 1  # the only 1-bit message is 1
 
             directed = self.topology.directed_edges
             forced = forced_drops.get(k)
@@ -463,11 +459,11 @@ def write_trace_csv(rounds: Rounds, path) -> None:
 
     A message often reappears (the full variant resends an unchanged table,
     and neighbours reach the same table a round apart), so the decimal text
-    of each message of the previous round is kept for reuse.  A quiet round
+    of each message of the previous round is kept for reuse.  A carried round
     shares the previous round's dicts, and its rows are the previous round's
-    after the round number, so they are made once per quiet stretch and each
-    quiet round is written as one string.  Other rounds are written row by
-    row, so that no round's text is held whole.
+    after the round number, so they are made once per carried stretch and
+    each carried round is written as one string.  Other rounds are written
+    row by row, so that no round's text is held whole.
     """
     traces = with_final_primes(rounds)
     primes = rounds.agent_primes

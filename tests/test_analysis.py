@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from itertools import islice
 
 import pytest
 
@@ -11,7 +12,7 @@ from primetime.analysis import (CheckVerdict, ceil_log2, check_hop_equations,
                                 write_verdicts_json)
 from primetime.primes import first_primes
 from primetime.protocol import Variant
-from primetime.sim import SimConfig, TopologySpec, run
+from primetime.sim import SimConfig, TopologySpec, iter_rounds, run
 
 
 def config(**kw):
@@ -79,6 +80,16 @@ def test_check_hop_equations_catches_corruption():
     verdict = check_hop_equations(result)
     assert not verdict.passed
     assert verdict.counterexample["agent"] == 2
+
+
+@pytest.mark.parametrize("consumed", [4, None], ids=["part_way", "drained"])
+def test_check_hop_equations_rejects_a_consumed_stream(consumed):
+    # a loss-free 8-node path runs 10 rounds of 8 messages
+    rounds = iter_rounds(config(topology=TopologySpec(family="path", n=8)))
+    for _ in islice(rounds, consumed):
+        pass
+    with pytest.raises(ValueError, match="already consumed"):
+        check_hop_equations(rounds)
 
 
 def test_hop_equations_counterexample_past_the_str_digit_limit():

@@ -327,6 +327,13 @@ max_rounds = 40
                  "--strict"]) == 3
 
 
+@pytest.mark.parametrize("family, n", [("path", 0), ("cycle", 2)])
+def test_family_below_its_minimum_size_exits_2(tmp_path, capsys, family, n):
+    cfg = write_config(tmp_path, f"[topology]\nfamily = {family}\nn = {n}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: topology: {family} needs n >= ")
+
+
 def test_unexpected_graph_failure_exits_1(tmp_path, capsys):
     (tmp_path / "g.txt").write_text("1 2\n3 4\n")  # disconnected
     cfg = write_config(tmp_path, "[topology]\nedge_file = g.txt\n")

@@ -158,6 +158,11 @@ seeds = 0..2
     assert points == sorted(points, key=lambda p: (p[0], p[1], p[2], p[3].value, p[4]))
 
 
+def test_sweep_backwards_range_names_field(tmp_path):
+    with pytest.raises(ConfigError, match=r"sweep.seeds: range '5\.\.3' ends below its start"):
+        load_sweep(write(tmp_path, MINIMAL + "[sweep]\nseeds = 1 5..3\n"))
+
+
 def test_sweep_requires_section(tmp_path):
     with pytest.raises(ConfigError, match="sweep"):
         load_sweep(write(tmp_path, MINIMAL))

@@ -174,7 +174,7 @@ def test_trace_csv_matches_the_row_oracle(tmp_path, cfg):
 
 
 def test_trace_csv_repeats_rows_only_when_both_dicts_are_shared(tmp_path):
-    # A quiet round shares both the messages and the table_sizes dicts.  The
+    # A carried round shares both the messages and the table_sizes dicts.  The
     # engine never shares one alone, so these rounds are made by hand: one
     # messages dict, three sizes for agent 1.
     rounds = run(config(topology=TopologySpec(family="path", n=2), data_values=(1, 2)))
@@ -425,6 +425,15 @@ def test_a_rejected_or_noted_message_is_merged_every_round(monkeypatch, message,
         [f"round {k}: agent 2 {note}"] for k in range(6)]
 
 
+def merges_nothing(trace, variant) -> bool:
+    """Whether a round's messages merge nothing and would be formed again:
+    incremental, every message 1; full variant, every message equal to every
+    present agent's product."""
+    if variant is Variant.INCREMENTAL:
+        return set(trace.messages.values()) == {1}
+    return len({*trace.messages.values(), *trace.products.values()}) == 1
+
+
 def test_an_unchanged_message_is_merged_once(monkeypatch):
     calls = []
     receive = sim.receive_message
@@ -435,11 +444,15 @@ def test_an_unchanged_message_is_merged_once(monkeypatch):
 
     monkeypatch.setattr(sim, "receive_message", spy)
     result = run(config(topology=TopologySpec(family="cycle", n=8)))
+    # A round whose messages merge nothing skips its merges: on the
+    # loss-free 8-cycle that is round d = 4, and the rounds after it carry it.
     changed = [(receiver, trace.messages[sender]) for trace in result.traces
+               if not merges_nothing(trace, Variant.PRIMETIME)
                for sender, receiver in trace.delivered
                if trace.round_index == 0
                or trace.messages[sender] != result.traces[trace.round_index - 1].messages[sender]]
     assert sorted(calls) == sorted(changed)
+    assert len(calls) == 64
 
 
 def test_quiet_rounds_form_no_messages(monkeypatch):
@@ -452,27 +465,29 @@ def test_quiet_rounds_form_no_messages(monkeypatch):
     monkeypatch.setattr(sim, "form_message", spy)
     events = (JoinEvent(12, 7, (1,), 2), LeaveEvent(20, 3))
     event_rounds = {e.round_index for e in events}
-    cfg = config(topology=TopologySpec(family="cycle", n=6), variant=Variant.INCREMENTAL,
-                 loss_q=0.3, seed=2, events=events, max_rounds=30, extra_rounds=30)
-    formed, expected, carried = [], [], []
-    previous = None
-    for trace in iter_rounds(cfg):
-        formed.append(len(calls))
+    for variant, carried in ((Variant.INCREMENTAL, 19), (Variant.PRIMETIME, 7)):
+        cfg = config(topology=TopologySpec(family="cycle", n=6), variant=variant,
+                     loss_q=0.3, seed=2, events=events, max_rounds=30, extra_rounds=30)
+        formed, expected, shared = [], [], []
+        previous = None
         calls.clear()
-        # Round k is formed up to and including the first round whose every
-        # message is 1, and again from the next event on.
-        k = trace.round_index
-        quiet = previous is not None and set(previous.messages.values()) == {1}
-        if quiet and k not in event_rounds:
-            expected.append(0)
-            carried.append((previous, trace))
-        else:
-            expected.append(len(trace.messages) - (k == 20))  # the leaver says goodbye
-        previous = trace
-    assert formed == expected
-    assert len(formed) == 30 and formed.count(0) > 15
-    for before, after in carried:
-        assert after.messages is before.messages and after.products is before.products
+        for trace in iter_rounds(cfg):
+            formed.append(len(calls))
+            calls.clear()
+            # Round k is formed up to and including the first round whose
+            # messages merge nothing, and again from the next event on.
+            k = trace.round_index
+            quiet = previous is not None and merges_nothing(previous, variant)
+            if quiet and k not in event_rounds:
+                expected.append(0)
+                shared.append((previous, trace))
+            else:
+                expected.append(len(trace.messages) - (k == 20))  # the leaver says goodbye
+            previous = trace
+        assert formed == expected, variant
+        assert len(formed) == 30 and formed.count(0) == carried, variant
+        for before, after in shared:
+            assert after.messages is before.messages and after.products is before.products
 
 
 def test_dropped_is_every_directed_edge_not_delivered():
