@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import os
 import sys
+from collections.abc import Mapping
 
 from .analysis import (check_hop_equations, check_diameter_completion,
                        require_closed_lossless, write_size_report_csv,
@@ -164,7 +165,7 @@ def cmd_compare_size(args) -> int:
     return _finish(rounds.anomaly_count, args)
 
 
-def _format_pairs(pairs: dict[int, int]) -> str:
+def _format_pairs(pairs: Mapping[int, int]) -> str:
     if not pairs:
         return "(empty)"
     return "*".join(f"{p}^{x}" for p, x in sorted(pairs.items()))

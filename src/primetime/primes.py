@@ -7,10 +7,11 @@ inverses on valid pair sets; 1 encodes the empty set.
 from __future__ import annotations
 
 import sys
+from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, log, prod
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .errors import CodecError, ExponentRangeError, PrimeCapError
 
@@ -150,16 +151,64 @@ def _strip(residue: int, p: int) -> tuple[int, int]:
     return residue, exponent
 
 
+class Factorization(Mapping):
+    """A message's (prime, exponent) pairs, read-only: a mapping prime ->
+    exponent kept as two flat tuples in ascending prime order.
+
+    The decode cache keeps one per message and hands that object to every
+    reader, so nothing may change it.  Two tuples cost two 8-byte slots a
+    pair; a tuple of (prime, exponent) tuples costs a slot and a 56-byte
+    pair tuple.  `values()` is the exponent tuple itself, and `items()` can
+    be walked any number of times, each walk zipping the two tuples at C
+    level.  Lookups by prime scan the primes; the merges only iterate.
+    """
+    __slots__ = ("primes", "exponents")
+
+    def __init__(self, primes: tuple[int, ...], exponents: tuple[int, ...]):
+        self.primes = primes
+        self.exponents = exponents
+
+    def __getitem__(self, prime: int) -> int:
+        try:
+            return self.exponents[self.primes.index(prime)]
+        except ValueError:
+            raise KeyError(prime) from None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.primes)
+
+    def __len__(self) -> int:
+        return len(self.primes)
+
+    def items(self) -> _FactorItems:
+        return _FactorItems(self)
+
+    def values(self) -> tuple[int, ...]:
+        return self.exponents
+
+    def __repr__(self) -> str:
+        return f"Factorization({dict(self.items())})"
+
+
+class _FactorItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._mapping.primes, self._mapping.exponents)
+
+
 @lru_cache(maxsize=4096)
-def _factorize(message: int, max_exponent: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of `message` in ascending prime order.
+def _factorize(message: int, max_exponent: int) -> Factorization:
+    """The factorization of `message`, its primes and their exponents
+    gathered straight into two lists in ascending prime order.
 
     Rejects the message from inside the cache, which keeps no rejected
     message: CodecError for an unfactorable residue, else
     ExponentRangeError for the smallest prime whose exponent exceeds
     `max_exponent`.
     """
-    factors = []
+    found: list[int] = []
+    exponents: list[int] = []
     residue = message
     for b in range(_BLOCKS):
         if residue == 1:
@@ -184,7 +233,8 @@ def _factorize(message: int, max_exponent: int) -> tuple[tuple[int, int], ...]:
             if level % p == 0:
                 residue, rest = _strip(residue, p)
                 exponent += rest
-            factors.append((p, exponent))
+            found.append(p)
+            exponents.append(exponent)
             if shared == p:
                 break
             shared //= p
@@ -194,30 +244,40 @@ def _factorize(message: int, max_exponent: int) -> tuple[tuple[int, int], ...]:
             f"unfactorable residue of {residue.bit_length()} bits: "
             f"no prime factor within cap index {PRIME_CAP}"
         )
-    for p, exponent in factors:
-        if exponent > max_exponent:
-            raise ExponentRangeError(
-                f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
-            )
-    return tuple(factors)
+    if exponents and max(exponents) > max_exponent:
+        p, exponent = next((p, e) for p, e in zip(found, exponents) if e > max_exponent)
+        raise ExponentRangeError(
+            f"exponent out of range: {p}**{exponent} exceeds bound {max_exponent}"
+        )
+    return Factorization(tuple(found), tuple(exponents))
+
+
+def factorization(message: int, max_exponent: int) -> Factorization:
+    """The pairs of `message`, checked and raised as `decode` does, as the
+    decode cache's own read-only Factorization: every caller shares one
+    object per message, and nothing is copied."""
+    if message < 1:
+        raise CodecError(f"message must be >= 1, got {message}")
+    return _factorize(message, max_exponent)
 
 
 def decode(message: int, max_exponent: int) -> dict[int, int]:
-    """Recover the (prime, exponent) pairs of `message`.
+    """Recover the (prime, exponent) pairs of `message` as a new dict, the
+    caller's own: changing it changes no cached factorization.
 
     The message is screened against blocks of the first PRIME_CAP primes by
     gcd, and only the primes of a block that shares a factor are divided
     out, so the cost follows the message, not the largest prime index, and
     corrupted input terminates with a CodecError instead of hanging.
-    decode(1) == {}.
+    decode(1) == {}.  The protocol reads the cached `factorization` in
+    place instead.
 
     Raises CodecError if a residue > 1 survives all primes within the cap,
     or ExponentRangeError, a CodecError, for the smallest prime whose
     exponent exceeds `max_exponent`.
     """
-    if message < 1:
-        raise CodecError(f"message must be >= 1, got {message}")
-    return dict(_factorize(message, max_exponent))
+    pairs = factorization(message, max_exponent)
+    return dict(zip(pairs.primes, pairs.exponents))
 
 
 def prime_count(message: int, max_exponent: int) -> int:

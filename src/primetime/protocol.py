@@ -28,7 +28,10 @@ cache then factors each broadcast once for all its receivers, where
 per-receiver cofactors would differ and the two gcds with the receiver's
 product would cost about as much as the decode.  Only 17% of the decoded
 pairs are new to the receiver (a 256-node random graph at 20% loss), so
-the rest are filtered out against the table's items at C level.
+the rest are filtered out against the table's items at C level.  Both
+merges read the decode cache's factorization in place, two flat tuples
+that every receiver of a message shares; no reception copies it into a
+dict.
 
 Merging a message a second time, after it merged cleanly (no exception and
 no note), changes nothing under either variant: a pair leaves a table only
@@ -45,7 +48,12 @@ from math import gcd
 from typing import Collection
 
 from .errors import ExponentRangeError, ProtocolError
-from .primes import decode, encode, smallest_unused_prime
+from .primes import encode, factorization, smallest_unused_prime
+
+# The merges factor every message through this name, so that a tracer can
+# wrap it.  It returns the decode cache's shared, read-only Factorization,
+# not `primes.decode`'s fresh dict; the merges only iterate what it returns.
+decode = factorization
 
 
 class Variant(str, enum.Enum):
@@ -158,7 +166,7 @@ def _news(state: AgentState, message: int,
         pairs = decode(cofactor, max_exponent=max_exponent)
     except ExponentRangeError:
         return None
-    if any(p in state.table for p in pairs):
+    if not state.table.keys().isdisjoint(pairs):
         return None
     return pairs.items()
 
@@ -176,10 +184,11 @@ def receive_message(state: AgentState, message: int) -> list[str]:
 
     Only the pairs the table does not already hold with that value are
     checked and applied.  Under the full variant they come from `_news`,
-    which decodes only the cofactor the table does not explain; an
-    incremental message is the sender's news, sent alike to every
-    neighbour, so it is decoded whole and its factorization is cached once
-    for all its receivers.
+    which decodes only the cofactor the table does not explain; its pairs
+    name no stored prime, so none can conflict and they are applied
+    unchecked.  An incremental message is the sender's news, sent alike to
+    every neighbour, so it is decoded whole and its factorization is cached
+    once for all its receivers; its pairs are listed, checked, then applied.
 
     Returns human-readable anomaly notes for the conditions the protocol
     tolerates but cannot explain (goodbye for a prime never stored, goodbye
@@ -192,16 +201,20 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     pairs = (_news(state, message, max_exponent)
              if state.variant is _PRIMETIME else None)
     if pairs is None:
-        # decode yields its pairs in ascending prime order, as they are checked
+        # decode yields its pairs in ascending prime order, as they are checked;
+        # `_news` names no stored prime, so only these pairs can conflict.
+        # Zipping the primes with the values walks the pairs at C level, with
+        # no items view to build per reception.
+        decoded = decode(message, max_exponent=max_exponent)
         pairs = list(filterfalse(state.table.items().__contains__,
-                                 decode(message, max_exponent=max_exponent).items()))
-    for prime, exponent in pairs:
-        if exponent <= state.max_value and prime not in state.departed:
-            stored = state.table.get(prime)
-            if stored is not None and stored != exponent:
-                raise ProtocolError(
-                    f"conflicting value for prime {prime}: stored {stored}, received {exponent}"
-                )
+                                 zip(decoded, decoded.values())))
+        for prime, exponent in pairs:
+            if exponent <= state.max_value and prime not in state.departed:
+                stored = state.table.get(prime)
+                if stored is not None and stored != exponent:
+                    raise ProtocolError(
+                        f"conflicting value for prime {prime}: stored {stored}, received {exponent}"
+                    )
     anomalies: list[str] = []
     gained = lost = 1
     for prime, exponent in pairs:

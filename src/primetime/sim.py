@@ -38,7 +38,7 @@ from typing import Iterator, Union
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, GraphError, ProtocolError
 from .graph import Topology
-from .primes import decimal, decode, nth_prime
+from .primes import Factorization, decimal, factorization, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
                        make_agent, receive_message)
 
@@ -132,7 +132,7 @@ class RoundTrace:
     Start-of-round tables are kept as the agents' running products.  A
     product is an immutable int, so an agent whose table did not change
     shares one object with the previous round, and under the full variant
-    with its message.  `tables` decodes them on first use.
+    with its message.  `tables` factors them on first use.
 
     `complete` is the completion predicate: every present agent's
     start-of-round table held every present agent's pair.  The engine
@@ -162,9 +162,10 @@ class RoundTrace:
         return [e for e in self.edges if e not in delivered]
 
     @cached_property
-    def tables(self) -> dict[int, dict[int, int]]:
-        """Start-of-round table snapshots, decoded from `products`."""
-        return {i: decode(product, max_exponent=self.max_value)
+    def tables(self) -> dict[int, Factorization]:
+        """Start-of-round table snapshots, factored from `products`: the
+        decode cache's shared, read-only mappings prime -> value."""
+        return {i: factorization(product, max_exponent=self.max_value)
                 for i, product in self.products.items()}
 
     def incoming(self, receiver: int) -> dict[int, int]:

@@ -1,6 +1,8 @@
 import math
+import random
 import re
 import sys
+import tracemalloc
 from time import perf_counter
 from unittest import mock
 
@@ -307,3 +309,25 @@ def test_prime_count_is_len_decode_outside_the_cache(message):
         primes._factorize.cache_clear()
         assert prime_count(message, max_exponent=9) == expected
         assert primes._factorize.cache_info().currsize == 0
+
+
+def test_decode_cache_holds_a_pair_in_under_32_bytes():
+    # at about 55 bytes a pair, a cached tuple of (prime, exponent) tuples fails this
+    rng = random.Random(0)
+    pool = first_primes(400)
+    messages = [encode(zip(sorted(rng.sample(pool, 40)), (rng.randint(1, 4) for _ in range(40))),
+                       max_exponent=4)
+                for _ in range(200)]
+    for message in messages:  # build the prime blocks before measuring
+        decode(message, max_exponent=9)
+    primes._factorize.cache_clear()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for message in messages:
+            decode(message, max_exponent=9)
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+        primes._factorize.cache_clear()
+    assert grown < 32 * 200 * 40

@@ -189,6 +189,22 @@ def test_merges_decode_through_the_protocol_hook(monkeypatch):
     assert calls and sum(inside_news) == len(calls)
 
 
+@pytest.mark.parametrize("variant", Variant)
+def test_decode_hands_out_the_callers_own_dict(variant):
+    # the merges read the cached factorization that decode copies
+    message = 2**3 * 5 * 7**2
+    _factorize.cache_clear()
+    pairs = decode(message, max_exponent=9)
+    pairs[2] = 1
+    pairs[11] = 1
+    del pairs[5]
+    assert decode(message, max_exponent=9) == {2: 3, 5: 1, 7: 2}
+    agent = fresh(variant, prime=3, value=1, max_value=4)  # merges with bound 2 * 4 + 1
+    assert receive_message(agent, message) == []
+    assert agent.table == {3: 1, 2: 3, 5: 1, 7: 2}
+    assert _factorize.cache_info().misses == 1
+
+
 def test_receive_sentinel_removes_and_queues_relay():
     agent = fresh(prime=2, value=1, max_value=4)
     receive_message(agent, 5**4)

@@ -16,12 +16,14 @@ agree with it on every round, agent and total.
 import copy
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from primetime import primes
 from primetime.errors import CodecError, ConfigError, ProtocolError
 from primetime.graph import eccentricity, generate
 from primetime.primes import decode, encode, nth_prime, smallest_unused_prime
@@ -435,9 +437,10 @@ def test_churn_runs_match_the_reference_loop(cfg):
 @settings(max_examples=150, deadline=None)
 @given(small_configs())
 # The leaver is present at round 4 and retires after it, so the required
-# pairs shrink at round 5, a round without an event.  Completion flags kept
-# across that change (a cache reset only on event rounds) stay false, and
-# the run then never completes.
+# pairs shrink at round 5, a round with no event of its own.  Round 4 sent a
+# leave message, so it is not quiet and round 5 must not be carried: a
+# carried round 5 would keep round 4's snapshot and completion, and the run
+# would never complete.
 @example(SimConfig(topology=CYCLE6, loss_q=0.4, seed=718, events=(LeaveEvent(4, 6),),
                    max_rounds=30))
 def test_small_runs_match_the_reference_loop(cfg):
@@ -481,3 +484,23 @@ def test_misfit_events_raise_as_in_the_reference_loop(topology, event):
     result, error = outcome(observed, cfg)
     assert result is None and error[0] is ConfigError
     assert outcome(ref_run, cfg) == (None, error)
+
+
+def test_lossy_incremental_churn_never_builds_a_decode_dict(monkeypatch):
+    # the merges read the cached factorization; primes.decode copies it.  Every
+    # binding of it inside the package refuses; this module's, which the
+    # reference loop decodes with, is left alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("primes.decode called")
+
+    copying = primes.decode
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "primetime":
+            for attr, value in list(vars(module).items()):
+                if value is copying:
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = SimConfig(topology=CYCLE12, variant=Variant.INCREMENTAL, loss_q=0.2, seed=1,
+                    max_rounds=50, events=CHURN)
+    seen = observed(cfg)
+    assert 13 in seen[1] and any(dropped for *_, dropped, _ in seen[0])  # a join, and loss
+    assert seen == ref_run(cfg)
