@@ -12,7 +12,7 @@ and sentinel-exponent goodbyes.
 from .errors import (CodecError, ConfigError, ExponentRangeError, GraphError,
                      PrimeCapError, PrimeTimeError, ProtocolError)
 from .graph import Topology, bfs_distances, diameter, eccentricity, generate, hop_sets
-from .primes import bit_length, decode, encode, nth_prime
+from .primes import decode, encode, nth_prime
 from .protocol import AgentState, Variant, form_message, join, leave, receive_message
 from .sim import (JoinEvent, LeaveEvent, Rounds, RoundTrace, SimConfig, TopologySpec,
                   apply_loss, iter_rounds, run)
@@ -23,8 +23,7 @@ __all__ = [
     "AgentState", "CodecError", "ConfigError", "ExponentRangeError", "GraphError",
     "JoinEvent", "LeaveEvent", "PrimeCapError", "PrimeTimeError",
     "ProtocolError", "RoundTrace", "Rounds", "SimConfig", "Topology",
-    "TopologySpec", "Variant", "apply_loss", "bfs_distances", "bit_length",
-    "decode", "diameter", "eccentricity", "encode",
+    "TopologySpec", "Variant", "apply_loss", "bfs_distances", "decode", "diameter", "eccentricity", "encode",
     "form_message", "generate", "hop_sets", "iter_rounds", "join", "leave", "nth_prime",
     "receive_message", "run",
 ]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import graph as graphmod
-from .primes import bit_length, decimal, encode, first_primes, prime_count
+from .errors import ConfigError
+from .primes import decimal, encode, first_primes, prime_count
 from .protocol import Variant
 from .sim import Rounds, SimConfig, with_final_primes
 
@@ -41,7 +42,7 @@ def compare_encodings(pairs: Iterable[tuple[int, int]], n_max: int,
                       max_value: int) -> tuple[int, int]:
     """(product-encoding bits, tabular bits) for one pair set."""
     pair_list = list(pairs)
-    product_bits = bit_length(encode(pair_list, max_exponent=max_value + 1))
+    product_bits = encode(pair_list, max_exponent=max_value + 1).bit_length()
     return product_bits, tabular_bits(len(pair_list), n_max, max_value)
 
 
@@ -58,10 +59,10 @@ class CheckVerdict:
 
 
 def require_closed_lossless(cfg: SimConfig, check: str) -> None:
-    """Raise ValueError unless `cfg` has no loss, no forced drops and no churn."""
+    """Raise ConfigError unless `cfg` has no loss, no forced drops and no churn."""
     if cfg.loss_q != 0 or cfg.drop_schedule or cfg.events:
-        raise ValueError(f"{check} requires a loss-free closed-graph run "
-                         "(no loss, forced drops or events)")
+        raise ConfigError(f"{check} requires a loss-free closed-graph run "
+                          "(no loss, forced drops or events)")
 
 
 def check_diameter_completion(result: Rounds) -> CheckVerdict:
@@ -148,7 +149,7 @@ def steady_state_growth(n_values: Sequence[int], max_value: int) -> list[GrowthR
         exceeds = None
         if max_value == 1:
             exceeds = message > math.factorial(n)
-        rows.append(GrowthRow(n=n, message_bits=bit_length(message), exceeds_factorial=exceeds))
+        rows.append(GrowthRow(n=n, message_bits=message.bit_length(), exceeds_factorial=exceeds))
     return rows
 
 

@@ -76,6 +76,9 @@ def _parse_topology(parser, base_dir: str) -> TopologySpec:
     if edge_file is not None:
         if family is not None:
             _fail("topology", "give either family or edge_file, not both")
+        for key in ("n", "p"):
+            if parser.has_option("topology", key):
+                _fail(f"topology.{key}", "only read with family, not edge_file")
         return TopologySpec(edge_file=os.path.join(base_dir, edge_file))
     if family is None:
         _fail("topology.family", "required (or set topology.edge_file)")
@@ -88,6 +91,8 @@ def _parse_topology(parser, base_dir: str) -> TopologySpec:
     if family == "random_connected":
         if p is None or not 0 < p <= 1:
             _fail("topology.p", f"random_connected needs p in (0, 1], got {p}")
+    elif p is not None:
+        _fail("topology.p", "only read with family = random_connected")
     return TopologySpec(family=family, n=n, p=p)
 
 

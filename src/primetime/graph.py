@@ -66,7 +66,7 @@ class Topology:
     def is_connected(self) -> bool:
         if len(self.nodes) <= 1:
             return True
-        return len(bfs_distances(self, self.nodes[0], _validate=False)) == len(self.nodes)
+        return len(bfs_distances(self, self.nodes[0])) == len(self.nodes)
 
     def with_node_added(self, node: int, attach_to: Iterable[int]) -> "Topology":
         attach = tuple(attach_to)
@@ -97,10 +97,9 @@ class Topology:
         return f"Topology(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
 
-def bfs_distances(t: Topology, source: int, _validate: bool = True) -> dict[int, int]:
+def bfs_distances(t: Topology, source: int) -> dict[int, int]:
     """Exact hop distances from `source` to every reachable node."""
-    if _validate:
-        t._check_node(source)
+    t._check_node(source)
     dist = {source: 0}
     queue = deque([source])
     while queue:

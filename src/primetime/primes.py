@@ -7,11 +7,10 @@ inverses on valid pair sets; 1 encodes the empty set.
 from __future__ import annotations
 
 import sys
-from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, log, prod
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable
 
 from .errors import CodecError, ExponentRangeError, PrimeCapError
 
@@ -151,16 +150,16 @@ def _strip(residue: int, p: int) -> tuple[int, int]:
     return residue, exponent
 
 
-class Factorization(Mapping):
-    """A message's (prime, exponent) pairs, read-only: a mapping prime ->
-    exponent kept as two flat tuples in ascending prime order.
+class Factorization:
+    """A message's (prime, exponent) pairs as two flat tuples in ascending
+    prime order, `primes` and `exponents`.
 
     The decode cache keeps one per message and hands that object to every
     reader, so nothing may change it.  Two tuples cost two 8-byte slots a
     pair; a tuple of (prime, exponent) tuples costs a slot and a 56-byte
-    pair tuple.  `values()` is the exponent tuple itself, and `items()` can
-    be walked any number of times, each walk zipping the two tuples at C
-    level.  Lookups by prime scan the primes; the merges only iterate.
+    pair tuple.  The merges read the two tuples; `len()` and `values()`, the
+    exponent tuple itself, are kept for the benchmark's tracer, which counts
+    the pairs and goodbyes of every merge decode.
     """
     __slots__ = ("primes", "exponents")
 
@@ -168,33 +167,11 @@ class Factorization(Mapping):
         self.primes = primes
         self.exponents = exponents
 
-    def __getitem__(self, prime: int) -> int:
-        try:
-            return self.exponents[self.primes.index(prime)]
-        except ValueError:
-            raise KeyError(prime) from None
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes)
-
     def __len__(self) -> int:
         return len(self.primes)
 
-    def items(self) -> _FactorItems:
-        return _FactorItems(self)
-
     def values(self) -> tuple[int, ...]:
         return self.exponents
-
-    def __repr__(self) -> str:
-        return f"Factorization({dict(self.items())})"
-
-
-class _FactorItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self._mapping.primes, self._mapping.exponents)
 
 
 @lru_cache(maxsize=4096)
@@ -327,10 +304,3 @@ def _decimal(n: int, limit: int) -> str:
 @lru_cache(maxsize=None)
 def _power_of_ten(k: int) -> int:
     return 10**k
-
-
-def bit_length(message: int) -> int:
-    """Number of bits in the binary representation of `message`; bit_length(1) == 1."""
-    if message < 1:
-        raise ValueError(f"message must be >= 1, got {message}")
-    return message.bit_length()

@@ -29,9 +29,9 @@ per-receiver cofactors would differ and the two gcds with the receiver's
 product would cost about as much as the decode.  Only 17% of the decoded
 pairs are new to the receiver (a 256-node random graph at 20% loss), so
 the rest are filtered out against the table's items at C level.  Both
-merges read the decode cache's factorization in place, two flat tuples
-that every receiver of a message shares; no reception copies it into a
-dict.
+merges read the decode cache's `Factorization` in place: its `primes` and
+`exponents` tuples, which every receiver of a message shares, are zipped
+at C level, and no reception copies them into a dict.
 
 Merging a message a second time, after it merged cleanly (no exception and
 no note), changes nothing under either variant: a pair leaves a table only
@@ -45,14 +45,15 @@ import enum
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from math import gcd
-from typing import Collection
+from typing import Iterable
 
 from .errors import ExponentRangeError, ProtocolError
 from .primes import encode, factorization, smallest_unused_prime
 
 # The merges factor every message through this name, so that a tracer can
-# wrap it.  It returns the decode cache's shared, read-only Factorization,
-# not `primes.decode`'s fresh dict; the merges only iterate what it returns.
+# wrap it.  It returns the decode cache's shared Factorization, not
+# `primes.decode`'s fresh dict; the merges read its `primes` and
+# `exponents` tuples and change neither.
 decode = factorization
 
 
@@ -105,13 +106,6 @@ class AgentState:
         return self.max_value + 1
 
 
-def make_agent(agent_id: int, prime: int, value: int, variant: Variant,
-               max_value: int) -> AgentState:
-    """Fresh agent as at its first round: table holds only its own pair."""
-    return AgentState(agent_id=agent_id, own_prime=prime, own_value=value,
-                      variant=variant, max_value=max_value)
-
-
 def form_message(state: AgentState) -> int:
     """Build this round's outgoing message and roll the transmission state.
 
@@ -139,7 +133,7 @@ def form_message(state: AgentState) -> int:
 
 
 def _news(state: AgentState, message: int,
-          max_exponent: int) -> Collection[tuple[int, int]] | None:
+          max_exponent: int) -> Iterable[tuple[int, int]] | None:
     """Pairs of a full-variant `message` for primes absent from the table, in
     ascending prime order, or None when the message must be decoded whole.
 
@@ -166,9 +160,9 @@ def _news(state: AgentState, message: int,
         pairs = decode(cofactor, max_exponent=max_exponent)
     except ExponentRangeError:
         return None
-    if not state.table.keys().isdisjoint(pairs):
+    if not state.table.keys().isdisjoint(pairs.primes):
         return None
-    return pairs.items()
+    return zip(pairs.primes, pairs.exponents)
 
 
 def receive_message(state: AgentState, message: int) -> list[str]:
@@ -203,11 +197,9 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     if pairs is None:
         # decode yields its pairs in ascending prime order, as they are checked;
         # `_news` names no stored prime, so only these pairs can conflict.
-        # Zipping the primes with the values walks the pairs at C level, with
-        # no items view to build per reception.
         decoded = decode(message, max_exponent=max_exponent)
         pairs = list(filterfalse(state.table.items().__contains__,
-                                 zip(decoded, decoded.values())))
+                                 zip(decoded.primes, decoded.exponents)))
         for prime, exponent in pairs:
             if exponent <= state.max_value and prime not in state.departed:
                 stored = state.table.get(prime)
@@ -252,7 +244,8 @@ def join(new_id: int, sponsor: AgentState, value: int, variant: Variant,
     whose table is complete (steady state) that prime is held by no one.
     """
     prime = smallest_unused_prime(sponsor.table.keys() | sponsor.departed)
-    return make_agent(new_id, prime, value, variant, max_value)
+    return AgentState(agent_id=new_id, own_prime=prime, own_value=value,
+                      variant=variant, max_value=max_value)
 
 
 def leave(state: AgentState) -> int:

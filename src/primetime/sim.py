@@ -38,9 +38,9 @@ from typing import Iterator, Union
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, GraphError, ProtocolError
 from .graph import Topology
-from .primes import Factorization, decimal, factorization, nth_prime
+from .primes import decimal, decode, nth_prime
 from .protocol import (AgentState, Variant, form_message, join, leave,
-                       make_agent, receive_message)
+                       receive_message)
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,10 @@ class RoundTrace:
         return [e for e in self.edges if e not in delivered]
 
     @cached_property
-    def tables(self) -> dict[int, Factorization]:
-        """Start-of-round table snapshots, factored from `products`: the
-        decode cache's shared, read-only mappings prime -> value."""
-        return {i: factorization(product, max_exponent=self.max_value)
+    def tables(self) -> dict[int, dict[int, int]]:
+        """Start-of-round table snapshots prime -> value, factored from
+        `products` into dicts that are the caller's own."""
+        return {i: decode(product, max_exponent=self.max_value)
                 for i, product in self.products.items()}
 
     def incoming(self, receiver: int) -> dict[int, int]:
@@ -220,8 +220,9 @@ class Rounds:
         for index, (node, value) in enumerate(zip(nodes, values), 1):
             if not 1 <= value <= cfg.max_value:
                 raise ConfigError(f"data_values: {value} outside [1, {cfg.max_value}]")
-            self._agents[node] = make_agent(node, nth_prime(index), value, cfg.variant,
-                                            cfg.max_value)
+            self._agents[node] = AgentState(agent_id=node, own_prime=nth_prime(index),
+                                            own_value=value, variant=cfg.variant,
+                                            max_value=cfg.max_value)
 
         self.rounds_run = 0
         self.completion_round: int | None = None

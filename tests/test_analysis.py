@@ -10,6 +10,7 @@ from primetime.analysis import (CheckVerdict, ceil_log2, check_hop_equations,
                                 size_report_rows, steady_state_growth,
                                 tabular_bits, write_size_report_csv,
                                 write_verdicts_json)
+from primetime.errors import ConfigError
 from primetime.primes import first_primes
 from primetime.protocol import Variant
 from primetime.sim import SimConfig, TopologySpec, iter_rounds, run
@@ -61,7 +62,7 @@ def test_check_diameter_completion_fails_on_truncated_run():
 
 def test_check_diameter_completion_rejects_lossy_runs():
     result = run(config(loss_q=0.2))
-    with pytest.raises(ValueError, match="loss-free"):
+    with pytest.raises(ConfigError, match="loss-free"):
         check_diameter_completion(result)
 
 

@@ -64,6 +64,13 @@ def test_key_its_mode_ignores_exits_2(tmp_path, capsys):
     assert "loss.q: only read with mode = bernoulli" in capsys.readouterr().err
 
 
+def test_topology_key_its_form_ignores_exits_2(tmp_path, capsys):
+    (tmp_path / "g.txt").write_text("1 2\n2 3\n")
+    cfg = write_config(tmp_path, "[topology]\nedge_file = g.txt\nn = 99\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "topology.n: only read with family" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", "x", "--out", "y", "--turbo"])

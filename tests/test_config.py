@@ -112,6 +112,19 @@ def test_key_its_mode_ignores_is_rejected(tmp_path, section, key):
         load_config(write(tmp_path, MINIMAL + "\n" + section))
 
 
+@pytest.mark.parametrize("topology, key, message", [
+    ("edge_file = g.txt\nn = 99\n", "topology.n", "only read with family, not edge_file"),
+    ("edge_file = g.txt\np = 0.5\n", "topology.p", "only read with family, not edge_file"),
+    ("family = cycle\nn = 5\np = 0.5\n", "topology.p",
+     "only read with family = random_connected"),
+], ids=["edge_file-n", "edge_file-p", "cycle-p"])
+def test_topology_key_its_form_ignores_is_rejected(tmp_path, topology, key, message):
+    # each used to load as if absent: the edge file's node count, no p
+    (tmp_path / "g.txt").write_text("1 2\n2 3\n")
+    with pytest.raises(ConfigError, match=f"{key}: {message}"):
+        load_config(write(tmp_path, "[topology]\n" + topology))
+
+
 def test_bad_family_names_field(tmp_path):
     with pytest.raises(ConfigError, match="topology.family"):
         load_config(write(tmp_path, "[topology]\nfamily = moebius\nn = 4\n"))

@@ -12,8 +12,8 @@ import hypothesis.strategies as st
 
 from primetime import primes
 from primetime.errors import CodecError, ExponentRangeError, PrimeCapError
-from primetime.primes import (PRIME_CAP, bit_length, decimal, decode, encode,
-                              first_primes, nth_prime, prime_count, smallest_unused_prime)
+from primetime.primes import (PRIME_CAP, decimal, decode, encode, first_primes,
+                              nth_prime, prime_count, smallest_unused_prime)
 
 
 def sieve_of_eratosthenes(limit):
@@ -94,14 +94,6 @@ def test_decode_exponent_out_of_range():
 def test_decode_rejects_nonpositive():
     with pytest.raises(CodecError):
         decode(0, max_exponent=5)
-
-
-def test_bit_length():
-    assert bit_length(1) == 1
-    assert bit_length(625) == 10  # 512 <= 625 < 1024
-    assert bit_length(45000) == 16  # 32768 <= 45000 < 65536
-    with pytest.raises(ValueError):
-        bit_length(0)
 
 
 @st.composite

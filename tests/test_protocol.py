@@ -8,14 +8,15 @@ import hypothesis.strategies as st
 
 import primetime.protocol as protocol
 from primetime.errors import CodecError, ProtocolError
-from primetime.primes import _factorize, decode
-from primetime.protocol import (Variant, form_message, join, leave,
-                                make_agent, receive_message)
+from primetime.primes import _factorize, decode, factorization
+from primetime.protocol import (AgentState, Variant, form_message, join, leave,
+                                receive_message)
 from primetime.sim import JoinEvent, SimConfig, TopologySpec, iter_rounds, run
 
 
 def fresh(variant=Variant.PRIMETIME, prime=7, value=2, max_value=4):
-    return make_agent(1, prime, value, variant, max_value)
+    return AgentState(agent_id=1, own_prime=prime, own_value=value, variant=variant,
+                      max_value=max_value)
 
 
 def test_initial_message_is_own_pair_power():
@@ -113,7 +114,7 @@ def test_receive_decodes_a_non_smooth_message_once(monkeypatch):
 
     def counting_decode(m, max_exponent):
         decoded.append(m)
-        return decode(m, max_exponent)
+        return factorization(m, max_exponent)
 
     monkeypatch.setattr(protocol, "decode", counting_decode)
     with pytest.raises(CodecError) as raised:
@@ -131,7 +132,7 @@ def test_incremental_reception_decodes_the_whole_message_once(monkeypatch):
 
     def counting_decode(m, max_exponent):
         decoded.append(m)
-        return decode(m, max_exponent)
+        return factorization(m, max_exponent)
 
     def news(*args):
         raise AssertionError("_news called under the incremental variant")
@@ -161,7 +162,7 @@ def test_merges_decode_through_the_protocol_hook(monkeypatch):
 
     def counting_decode(message, max_exponent):
         calls.append(message)
-        return decode(message, max_exponent)
+        return factorization(message, max_exponent)
 
     def counting_news(state, message, max_exponent):
         inside_news.append(len(calls))
@@ -187,6 +188,15 @@ def test_merges_decode_through_the_protocol_hook(monkeypatch):
         pass
     # loss-free, the full variant decodes only cofactors, all inside _news
     assert calls and sum(inside_news) == len(calls)
+
+
+@pytest.mark.parametrize("message", [1, 2**3 * 5 * 7**2, 3**4 * 11**5, 2 * 13**9 * 17])
+def test_merge_decode_reads_as_decode_to_the_tracer(message):
+    # the benchmark's tracer reads len() and values() of every merge decode;
+    # 11**5 and 13**9 are goodbyes under max_value 4
+    pairs = decode(message, max_exponent=9)
+    assert len(protocol.decode(message, max_exponent=9)) == len(pairs)
+    assert tuple(protocol.decode(message, max_exponent=9).values()) == tuple(pairs.values())
 
 
 @pytest.mark.parametrize("variant", Variant)
@@ -314,7 +324,8 @@ def test_leave_twice_raises():
 
 def test_own_value_must_be_in_range():
     with pytest.raises(ProtocolError):
-        make_agent(1, 7, 5, Variant.PRIMETIME, max_value=4)
+        AgentState(agent_id=1, own_prime=7, own_value=5, variant=Variant.PRIMETIME,
+                   max_value=4)
 
 
 @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 4)), max_size=12))

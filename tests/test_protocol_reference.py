@@ -27,7 +27,7 @@ from primetime import primes
 from primetime.errors import CodecError, ConfigError, ProtocolError
 from primetime.graph import eccentricity, generate
 from primetime.primes import decode, encode, nth_prime, smallest_unused_prime
-from primetime.protocol import (Variant, form_message, leave, make_agent,
+from primetime.protocol import (AgentState, Variant, form_message, leave,
                                 receive_message)
 from primetime.sim import JoinEvent, LeaveEvent, SimConfig, TopologySpec, iter_rounds
 
@@ -175,7 +175,8 @@ def power_product(pairs: dict) -> int:
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_reference(scenario):
     max_value, own_prime, own_value, variant, ops = scenario
-    state = make_agent(1, own_prime, own_value, variant, max_value)
+    state = AgentState(agent_id=1, own_prime=own_prime, own_value=own_value,
+                       variant=variant, max_value=max_value)
     ref = ref_make(1, own_prime, own_value, variant, max_value)
     assert_same_state(state, ref)
     for op in ops:
@@ -207,14 +208,15 @@ def test_first_over_bound_exponent_on_stored_prime_is_reported(variant):
     # 2 is stored, so under the full variant the cofactor holds 2**9, within
     # the bound, and 5**10; the error must still name the first over-bound
     # prime of the message.
-    state = make_agent(1, 2, 1, variant, max_value=4)
+    state = AgentState(agent_id=1, own_prime=2, own_value=1, variant=variant, max_value=4)
     with pytest.raises(CodecError, match=r"2\*\*10 exceeds bound 9"):
         receive_message(state, 2**10 * 5**10)
     assert state.table == {2: 1}
 
 
 def test_rejected_message_changes_nothing():
-    state = make_agent(1, 2, 1, Variant.INCREMENTAL, max_value=4)
+    state = AgentState(agent_id=1, own_prime=2, own_value=1, variant=Variant.INCREMENTAL,
+                       max_value=4)
     receive_message(state, 7**2)
     form_message(state)
     receive_message(state, 11**3 * 13**9)  # one new pair, one goodbye

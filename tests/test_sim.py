@@ -11,6 +11,7 @@ import pytest
 import primetime.sim as sim
 from primetime.errors import ConfigError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
+from primetime.primes import decode
 from primetime.protocol import Variant, form_message
 from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
                            apply_loss, iter_rounds, run, summary_text,
@@ -202,6 +203,20 @@ def test_snapshots_share_the_running_products():
                 assert after.products[i] is before.products[i]
                 unchanged += 1
     assert unchanged > 0
+
+
+def test_tables_hand_out_the_callers_own_dicts():
+    # a carried round shares its products with the round before it
+    result = run(config(topology=TopologySpec(family="path", n=4)))
+    before, after = next((a, b) for a, b in zip(result.traces, result.traces[1:])
+                         if b.products is a.products)
+    table = before.tables[1]
+    expected = dict(table)
+    table[97] = 1
+    del table[2]
+    assert before.tables[1] is table
+    assert decode(before.products[1], max_exponent=before.max_value) == expected
+    assert after.tables[1] == expected
 
 
 def test_run_memory_stays_small():
