@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import graph as graphmod
@@ -52,10 +52,6 @@ class CheckVerdict:
     passed: bool
     detail: str = ""
     counterexample: dict | None = None
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "passed": self.passed,
-                "detail": self.detail, "counterexample": self.counterexample}
 
 
 def require_closed_lossless(cfg: SimConfig, check: str) -> None:
@@ -193,5 +189,5 @@ def write_size_report_csv(result: Rounds, path) -> None:
 
 def write_verdicts_json(verdicts: Sequence[CheckVerdict], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump([v.to_json() for v in verdicts], fh, indent=2, sort_keys=True)
+        json.dump([asdict(v) for v in verdicts], fh, indent=2, sort_keys=True)
         fh.write("\n")

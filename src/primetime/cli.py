@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run the [sweep] grid of a config")
     add_common(sweep)
     sweep.add_argument("--verbose", action="store_true",
-                       help="print each grid point's completion round")
+                       help="print each grid point's completion round or error")
     add_common(sub.add_parser("check", help="run and verify completion/message oracles"))
     add_common(sub.add_parser("compare-size", help="run and write the size report"))
     sub.add_parser("demo", help="print a round-by-round walkthrough")
@@ -113,18 +113,19 @@ def cmd_sweep(args) -> int:
                 pass
         except PrimeTimeError as exc:
             rows.append((n, m, q, variant.value, seed, "", "", "", 0, "", "", str(exc)))
-            continue
-        completion = rounds.completion_round
-        rows.append((
-            n, m, q, variant.value, seed, rounds.diameter, rounds.rounds_run,
-            completion if completion is not None else "never",
-            1 if completion is not None else 0,
-            rounds.peak_message_bits, rounds.total_bits_transmitted, "",
-        ))
-        anomalies += rounds.anomaly_count
+            outcome = f"error={exc}"
+        else:
+            completion = rounds.completion_round
+            shown = completion if completion is not None else "never"
+            rows.append((
+                n, m, q, variant.value, seed, rounds.diameter, rounds.rounds_run, shown,
+                1 if completion is not None else 0,
+                rounds.peak_message_bits, rounds.total_bits_transmitted, "",
+            ))
+            anomalies += rounds.anomaly_count
+            outcome = f"completion={shown}"
         if args.verbose:
-            print(f"n={n} M={m} q={q} {variant.value} seed={seed}: "
-                  f"completion={completion}")
+            print(f"n={n} M={m} q={q} {variant.value} seed={seed}: {outcome}")
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)

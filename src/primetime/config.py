@@ -50,24 +50,15 @@ def _read(path) -> configparser.ConfigParser:
     return parser
 
 
-def _get_int(parser, section, key, default=None):
+def _get_number(parser, section, key, kind=int, default=None):
     raw = parser.get(section, key, fallback=None)
     if raw is None:
         return default
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        _fail(f"{section}.{key}", f"expected an integer, got {raw!r}")
-
-
-def _get_float(parser, section, key, default=None):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(f"{section}.{key}", f"expected a number, got {raw!r}")
+        expected = "an integer" if kind is int else "a number"
+        _fail(f"{section}.{key}", f"expected {expected}, got {raw!r}")
 
 
 def _parse_topology(parser, base_dir: str) -> TopologySpec:
@@ -84,10 +75,10 @@ def _parse_topology(parser, base_dir: str) -> TopologySpec:
         _fail("topology.family", "required (or set topology.edge_file)")
     if family not in FAMILIES:
         _fail("topology.family", f"unknown family {family!r}, expected one of {FAMILIES}")
-    n = _get_int(parser, "topology", "n")
+    n = _get_number(parser, "topology", "n")
     if n is None:
         _fail("topology.n", "required for family topologies")
-    p = _get_float(parser, "topology", "p")
+    p = _get_number(parser, "topology", "p", float)
     if family == "random_connected":
         if p is None or not 0 < p <= 1:
             _fail("topology.p", f"random_connected needs p in (0, 1], got {p}")
@@ -107,7 +98,7 @@ def _parse_loss(parser) -> tuple[float, tuple[tuple[int, int, int], ...]]:
     mode = parser.get("loss", "mode", fallback="none")
     q = 0.0
     if mode == "bernoulli":
-        q = _get_float(parser, "loss", "q")
+        q = _get_number(parser, "loss", "q", float)
         if q is None:
             _fail("loss.q", "required for bernoulli loss")
         if not 0 <= q < 1:
@@ -165,7 +156,7 @@ def _parse(parser, path) -> SimConfig:
     topology = _parse_topology(parser, base_dir)
     variant = _parse_variant(parser.get("protocol", "variant", fallback="primetime"),
                              "protocol.variant")
-    max_value = _get_int(parser, "protocol", "max_value", default=4)
+    max_value = _get_number(parser, "protocol", "max_value", default=4)
 
     data_values = None
     mode = parser.get("data", "mode", fallback="random")
@@ -191,10 +182,10 @@ def _parse(parser, path) -> SimConfig:
         loss_q=q,
         drop_schedule=drops,
         events=_parse_events(parser),
-        max_rounds=_get_int(parser, "sim", "max_rounds"),
-        extra_rounds=_get_int(parser, "sim", "extra_rounds", default=3),
-        seed=_get_int(parser, "sim", "seed", default=0),
-        n_max=_get_int(parser, "analysis", "n_max"),
+        max_rounds=_get_number(parser, "sim", "max_rounds"),
+        extra_rounds=_get_number(parser, "sim", "extra_rounds", default=3),
+        seed=_get_number(parser, "sim", "seed", default=0),
+        n_max=_get_number(parser, "analysis", "n_max"),
     )
     cfg.validate()
     return cfg

@@ -20,14 +20,13 @@ _MAX_REDRAWS = 10_000
 class Topology:
     """Immutable undirected graph over integer node ids.
 
-    No self-loops, no duplicate edges.  Connectivity is validated at
-    construction unless `require_connected=False` (used by churn, which
-    logs a disconnecting leave as an anomaly, and by the random generator's
-    redraw loop).
+    No self-loops, no duplicate edges.  A topology may be disconnected: a
+    leave can split the graph, which churn logs as an anomaly.  A run's
+    start graph must be connected; `diameter` rejects one that is not when
+    the run starts.
     """
 
-    def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
-                 require_connected: bool = True):
+    def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
         self.nodes: tuple[int, ...] = tuple(sorted(set(nodes)))
         if not self.nodes:
             raise GraphError("topology needs at least one node")
@@ -50,8 +49,6 @@ class Topology:
         self.adjacency: dict[int, tuple[int, ...]] = {
             n: tuple(sorted(neigh)) for n, neigh in adjacency.items()
         }
-        if require_connected and not self.is_connected():
-            raise GraphError("disconnected graph")
 
     @cached_property
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
@@ -75,15 +72,13 @@ class Topology:
         if not attach:
             raise GraphError(f"node {node} must attach with at least one edge")
         new_edges = set(self.edges) | {(min(node, a), max(node, a)) for a in attach}
-        # Adding a node and its edges disconnects nothing; a split left by an
-        # earlier leave was logged when it happened.
-        return Topology(self.nodes + (node,), new_edges, require_connected=False)
+        return Topology(self.nodes + (node,), new_edges)
 
     def without_node(self, node: int) -> "Topology":
         self._check_node(node)
         remaining = [n for n in self.nodes if n != node]
         kept = [(u, v) for u, v in self.edges if node not in (u, v)]
-        return Topology(remaining, kept, require_connected=False)
+        return Topology(remaining, kept)
 
     def _check_node(self, node: int) -> None:
         if node not in self.adjacency:
@@ -195,7 +190,7 @@ def generate(family: str, n: int, p: float | None = None,
     for _ in range(_MAX_REDRAWS):
         edges = [(i, j) for i in nodes for j in range(i + 1, n + 1)
                  if rng.random() < p]
-        candidate = Topology(nodes, edges, require_connected=False)
+        candidate = Topology(nodes, edges)
         if candidate.is_connected():
             return candidate
     raise GraphError(

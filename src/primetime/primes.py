@@ -55,7 +55,15 @@ def nth_prime(n: int) -> int:
 
 
 def first_primes(n: int) -> list[int]:
-    """The first n primes in increasing order."""
+    """The first n primes in increasing order.
+
+    Raises ValueError for n < 0 and PrimeCapError for n beyond PRIME_CAP,
+    as `nth_prime` does.
+    """
+    if n < 0:
+        raise ValueError(f"prime count must be >= 0, got {n}")
+    if n > PRIME_CAP:
+        raise PrimeCapError(f"prime cap exceeded: count {n} > cap {PRIME_CAP}")
     if n > len(_primes):
         _extend_primes(n)
     return _primes[:n]
@@ -176,14 +184,18 @@ class Factorization:
 
 @lru_cache(maxsize=4096)
 def _factorize(message: int, max_exponent: int) -> Factorization:
-    """The factorization of `message`, its primes and their exponents
-    gathered straight into two lists in ascending prime order.
+    """The pairs of `message` as the decode cache's own read-only
+    Factorization, its primes and their exponents gathered straight into
+    two tuples in ascending prime order: every caller shares one object per
+    message, and nothing is copied.
 
     Rejects the message from inside the cache, which keeps no rejected
-    message: CodecError for an unfactorable residue, else
-    ExponentRangeError for the smallest prime whose exponent exceeds
+    message: CodecError for a message below 1 or an unfactorable residue,
+    else ExponentRangeError for the smallest prime whose exponent exceeds
     `max_exponent`.
     """
+    if message < 1:
+        raise CodecError(f"message must be >= 1, got {message}")
     found: list[int] = []
     exponents: list[int] = []
     residue = message
@@ -229,13 +241,9 @@ def _factorize(message: int, max_exponent: int) -> Factorization:
     return Factorization(tuple(found), tuple(exponents))
 
 
-def factorization(message: int, max_exponent: int) -> Factorization:
-    """The pairs of `message`, checked and raised as `decode` does, as the
-    decode cache's own read-only Factorization: every caller shares one
-    object per message, and nothing is copied."""
-    if message < 1:
-        raise CodecError(f"message must be >= 1, got {message}")
-    return _factorize(message, max_exponent)
+# The decode cache under its public name; the protocol's merges call it.
+# Pass both arguments by position: the cache keys a keyword call apart.
+factorization = _factorize
 
 
 def decode(message: int, max_exponent: int) -> dict[int, int]:
@@ -249,9 +257,9 @@ def decode(message: int, max_exponent: int) -> dict[int, int]:
     decode(1) == {}.  The protocol reads the cached `factorization` in
     place instead.
 
-    Raises CodecError if a residue > 1 survives all primes within the cap,
-    or ExponentRangeError, a CodecError, for the smallest prime whose
-    exponent exceeds `max_exponent`.
+    Raises CodecError for a message below 1 or if a residue > 1 survives
+    all primes within the cap, or ExponentRangeError, a CodecError, for the
+    smallest prime whose exponent exceeds `max_exponent`.
     """
     pairs = factorization(message, max_exponent)
     return dict(zip(pairs.primes, pairs.exponents))
@@ -261,8 +269,6 @@ def prime_count(message: int, max_exponent: int) -> int:
     """``len(decode(message, max_exponent))``, checked and raised alike, but
     factored outside the decode cache, so counting many messages evicts none
     of the factorizations the protocol reuses."""
-    if message < 1:
-        raise CodecError(f"message must be >= 1, got {message}")
     return len(_factorize.__wrapped__(message, max_exponent))
 
 

@@ -157,7 +157,7 @@ def _news(state: AgentState, message: int,
     if cofactor == 1:
         return ()
     try:
-        pairs = decode(cofactor, max_exponent=max_exponent)
+        pairs = decode(cofactor, max_exponent)
     except ExponentRangeError:
         return None
     if not state.table.keys().isdisjoint(pairs.primes):
@@ -197,7 +197,7 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     if pairs is None:
         # decode yields its pairs in ascending prime order, as they are checked;
         # `_news` names no stored prime, so only these pairs can conflict.
-        decoded = decode(message, max_exponent=max_exponent)
+        decoded = decode(message, max_exponent)
         pairs = list(filterfalse(state.table.items().__contains__,
                                  zip(decoded.primes, decoded.exponents)))
         for prime, exponent in pairs:
@@ -234,18 +234,18 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     return anomalies
 
 
-def join(new_id: int, sponsor: AgentState, value: int, variant: Variant,
-         max_value: int) -> AgentState:
+def join(new_id: int, sponsor: AgentState, value: int) -> AgentState:
     """Admit a new agent by querying one neighbor, its sponsor.
 
-    The joiner takes the smallest prime the sponsor neither holds nor has
-    seen leave, and starts from scratch: its own pair is the only entry, so
-    the regular dissemination machinery announces it.  Against a sponsor
-    whose table is complete (steady state) that prime is held by no one.
+    The joiner runs the sponsor's variant with the sponsor's bound M.  It
+    takes the smallest prime the sponsor neither holds nor has seen leave,
+    and starts from scratch: its own pair is the only entry, so the regular
+    dissemination machinery announces it.  Against a sponsor whose table is
+    complete (steady state) that prime is held by no one.
     """
     prime = smallest_unused_prime(sponsor.table.keys() | sponsor.departed)
     return AgentState(agent_id=new_id, own_prime=prime, own_value=value,
-                      variant=variant, max_value=max_value)
+                      variant=sponsor.variant, max_value=sponsor.max_value)
 
 
 def leave(state: AgentState) -> int:

@@ -313,8 +313,7 @@ class Rounds:
                     raise ConfigError(f"events: join of agent {event.node} at round {k} "
                                       f"attaches to absent agent {absent}")
                 self.topology = self.topology.with_node_added(event.node, event.attach_to)
-                state = join(event.node, agents[min(event.attach_to)], event.value,
-                             cfg.variant, cfg.max_value)
+                state = join(event.node, agents[min(event.attach_to)], event.value)
                 # A sponsor whose table is incomplete can offer a prime in use.
                 holder = next((i for i in self.topology.nodes if i != event.node
                                and agents[i].own_prime == state.own_prime), None)

@@ -294,6 +294,38 @@ n = 4 6
     assert "data_values" in by_n["6"]["error"]
 
 
+def test_sweep_verbose_prints_every_point_in_grid_order(tmp_path, capsys):
+    # n = 6 fails (four explicit values); a lost relay starves incremental
+    cfg = write_config(tmp_path, """
+[topology]
+family = path
+n = 4
+
+[data]
+mode = explicit
+values = 1 2 3 4
+
+[loss]
+drops = 1:2>3 1:3>4
+
+[sweep]
+variant = primetime incremental
+n = 4 6
+""")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "loud"), "--verbose"]) == 0
+    error = "error=data_values: got 4 values for 6 nodes"
+    assert capsys.readouterr().out.splitlines() == [
+        "n=4 M=4 q=0.0 incremental seed=0: completion=never",
+        "n=4 M=4 q=0.0 primetime seed=0: completion=4",
+        f"n=6 M=4 q=0.0 incremental seed=0: {error}",
+        f"n=6 M=4 q=0.0 primetime seed=0: {error}",
+    ] + quiet
+    assert (tmp_path / "loud" / "sweep.csv").read_bytes() == \
+        (tmp_path / "quiet" / "sweep.csv").read_bytes()
+
+
 def test_sweep_peak_bits_monotone_in_n(tmp_path):
     cfg = write_config(tmp_path, """
 [topology]

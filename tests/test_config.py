@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from primetime.config import load_config, load_sweep
@@ -93,6 +95,16 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="topology.speed: unknown key"):
         load_config(write(tmp_path, "[topology]\nfamily = path\nn = 4\nspeed = 9\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL + "\n[sim]\nseed = 1.5\n", "sim.seed: expected an integer, got '1.5'"),
+    ("[topology]\nfamily = random_connected\nn = 5\np = half\n",
+     "topology.p: expected a number, got 'half'"),
+])
+def test_non_numeric_value_names_field(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write(tmp_path, text))
 
 
 def test_invalid_q_names_field(tmp_path):

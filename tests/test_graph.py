@@ -12,6 +12,7 @@ except ImportError:
 from primetime.errors import GraphError
 from primetime.graph import (Topology, bfs_distances, diameter, eccentricity,
                              generate, hop_sets, read_edge_list)
+from primetime.sim import SimConfig, TopologySpec, iter_rounds
 
 
 def floyd_warshall(t):
@@ -123,7 +124,7 @@ def all_pairs_random_connected(n, p, seed):
     nodes = range(1, n + 1)
     while True:
         edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < p]
-        candidate = Topology(nodes, edges, require_connected=False)
+        candidate = Topology(nodes, edges)
         if candidate.is_connected():
             return candidate.edges
 
@@ -151,8 +152,10 @@ def test_topology_validation():
         Topology([1, 2], [(1, 1)])
     with pytest.raises(GraphError, match="duplicate edge"):
         Topology([1, 2], [(1, 2), (2, 1)])
-    with pytest.raises(GraphError, match="disconnected"):
-        Topology([1, 2, 3], [(1, 2)])
+    # a disconnected graph builds; a run starting on one is rejected
+    assert not Topology([1, 2, 3], [(1, 2)]).is_connected()
+    with pytest.raises(GraphError, match="disconnected graph"):
+        iter_rounds(SimConfig(topology=TopologySpec(edges=((1, 2), (3, 4)))))
 
 
 def test_node_add_remove():
@@ -226,7 +229,7 @@ def graphs(draw):
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Topology(range(1, n + 1), edges, require_connected=False)
+    return Topology(range(1, n + 1), edges)
 
 
 @given(graphs())

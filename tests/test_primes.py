@@ -46,6 +46,15 @@ def test_nth_prime_past_the_cap():
         nth_prime(0)
 
 
+def test_first_primes_outside_its_range():
+    assert first_primes(0) == []
+    assert len(first_primes(PRIME_CAP)) == PRIME_CAP
+    with pytest.raises(PrimeCapError, match="prime cap exceeded"):
+        first_primes(PRIME_CAP + 5)
+    with pytest.raises(ValueError, match="prime count must be >= 0"):
+        first_primes(-1)
+
+
 def test_smallest_unused_prime():
     assert smallest_unused_prime(set()) == 2
     assert smallest_unused_prime({2, 3, 5, 7}) == 11
@@ -288,7 +297,7 @@ def test_rejected_messages_leave_nothing_in_the_decode_cache():
     primes._factorize.cache_clear()
 
 
-@pytest.mark.parametrize("message", [1, 2**9 * 3, 5**4 * 7 * 104_729**2, 2**10, 0,
+@pytest.mark.parametrize("message", [1, 2**9 * 3, 5**4 * 7 * 104_729**2, 2**10, 0, -3,
                                      1_000_003 * 4])
 def test_prime_count_is_len_decode_outside_the_cache(message):
     primes._factorize.cache_clear()

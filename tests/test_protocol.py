@@ -268,29 +268,29 @@ def test_goodbye_for_own_prime_is_refused():
     assert agent.table[7] == 2
 
 
-def sponsor_holding(own_prime, *others):
+def sponsor_holding(own_prime, *others, variant=Variant.PRIMETIME, max_value=4):
     """An agent whose table holds its own pair and `others`, at value 1."""
-    agent = fresh(prime=own_prime, value=1)
+    agent = fresh(variant, prime=own_prime, value=1, max_value=max_value)
     receive_message(agent, math.prod(others))
     return agent
 
 
 def test_join_picks_smallest_unused_prime():
-    state = join(9, sponsor_holding(2, 3, 5, 7), value=2,
-                 variant=Variant.PRIMETIME, max_value=4)
-    assert state.own_prime == 11
-    assert state.table == {11: 2}
-    assert state.unsent == {11: 2}
+    for variant in Variant:  # the joiner runs its sponsor's variant and bound
+        state = join(9, sponsor_holding(2, 3, 5, 7, variant=variant, max_value=6), value=2)
+        assert state.own_prime == 11
+        assert state.table == {11: 2}
+        assert state.unsent == {11: 2}
+        assert (state.variant, state.max_value) == (variant, 6)
 
 
 def test_join_fills_gaps():
-    state = join(9, sponsor_holding(2, 5, 7), value=1,
-                 variant=Variant.INCREMENTAL, max_value=4)
+    state = join(9, sponsor_holding(2, 5, 7), value=1)
     assert state.own_prime == 3
 
 
 def test_join_sponsor_knowing_only_itself():
-    state = join(9, sponsor_holding(3), value=1, variant=Variant.PRIMETIME, max_value=4)
+    state = join(9, sponsor_holding(3), value=1)
     assert state.own_prime == 2
 
 
@@ -298,7 +298,7 @@ def test_join_skips_primes_the_sponsor_saw_leave():
     sponsor = sponsor_holding(2, 5)
     receive_message(sponsor, 3**5 * 5**5)  # goodbyes: 3 never stored, 5 stored
     assert sponsor.table == {2: 1}
-    state = join(9, sponsor, value=1, variant=Variant.PRIMETIME, max_value=4)
+    state = join(9, sponsor, value=1)
     assert state.own_prime == 7
 
 

@@ -121,9 +121,9 @@ def ref_make(agent_id, prime, value, variant, max_value):
     return RefAgent(agent_id, prime, value, variant, max_value)
 
 
-def ref_join(new_id, sponsor, value, variant, max_value):
+def ref_join(new_id, sponsor, value):
     prime = smallest_unused_prime(sponsor.table.keys() | sponsor.departed)
-    return ref_make(new_id, prime, value, variant, max_value)
+    return ref_make(new_id, prime, value, sponsor.variant, sponsor.max_value)
 
 
 def outcome(fn, *args):
@@ -272,8 +272,7 @@ def ref_run(cfg):
                 if a not in adjacency:
                     raise ConfigError(f"events: join of agent {event.node} at round {k} "
                                       f"attaches to absent agent {a}")
-            joiner = ref_join(event.node, agents[min(event.attach_to)], event.value,
-                              cfg.variant, cfg.max_value)
+            joiner = ref_join(event.node, agents[min(event.attach_to)], event.value)
             holders = [i for i in sorted(adjacency) if agents[i].own_prime == joiner.own_prime]
             if holders:
                 anomalies.append(f"round {k}: agent {event.node} joined with prime "
