@@ -12,8 +12,7 @@ import csv
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import graph as graphmod
 from .errors import ConfigError
@@ -46,8 +45,7 @@ def compare_encodings(pairs: Iterable[tuple[int, int]], n_max: int,
     return product_bits, tabular_bits(len(pair_list), n_max, max_value)
 
 
-@dataclass
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     check: str
     passed: bool
     detail: str = ""
@@ -123,8 +121,7 @@ def check_hop_equations(result: Rounds) -> CheckVerdict:
     return CheckVerdict("hop_equations", True, detail=f"{count} messages match")
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     message_bits: int
     exceeds_factorial: bool | None  # value-level primorial vs n!, only meaningful at M=1
@@ -163,7 +160,10 @@ def size_report_rows(result: Rounds) -> Iterator[tuple]:
     """
     cfg = result.config
     traces = with_final_primes(result)
-    n_max = cfg.n_max if cfg.n_max is not None else len(result.agent_primes)
+    agents = len(result.agent_primes)
+    n_max = cfg.n_max if cfg.n_max is not None else agents
+    if n_max < agents:
+        raise ConfigError(f"analysis.n_max: {n_max} is below the {agents} agents of the run")
     previous: dict[int, int] = {}
     for trace in traces:
         current: dict[int, int] = {}
@@ -189,5 +189,5 @@ def write_size_report_csv(result: Rounds, path) -> None:
 
 def write_verdicts_json(verdicts: Sequence[CheckVerdict], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump([asdict(v) for v in verdicts], fh, indent=2, sort_keys=True)
+        json.dump([v._asdict() for v in verdicts], fh, indent=2, sort_keys=True)
         fh.write("\n")

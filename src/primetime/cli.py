@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 
@@ -66,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> SimConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = cfg._replace(seed=args.seed)
     if args.variant is not None:
-        cfg = dataclasses.replace(cfg, variant=Variant(args.variant))
+        cfg = cfg._replace(variant=Variant(args.variant))
     return cfg
 
 
@@ -97,16 +96,16 @@ SWEEP_COLUMNS = ("n", "max_value", "q", "variant", "seed", "diameter", "rounds_r
 def cmd_sweep(args) -> int:
     base, grid = load_sweep(args.config)
     if args.seed is not None:
-        grid = dataclasses.replace(grid, seeds=(args.seed,))
+        grid = grid._replace(seeds=(args.seed,))
     if args.variant is not None:
-        grid = dataclasses.replace(grid, variant=(Variant(args.variant),))
+        grid = grid._replace(variant=(Variant(args.variant),))
     os.makedirs(args.out, exist_ok=True)
     anomalies = 0
     rows = []
     for n, m, q, variant, seed in grid.points():
         spec = TopologySpec(family=base.topology.family, n=n, p=base.topology.p)
-        cfg = dataclasses.replace(base, topology=spec, max_value=m, loss_q=q,
-                                  variant=variant, seed=seed)
+        cfg = base._replace(topology=spec, max_value=m, loss_q=q, variant=variant,
+                            seed=seed)
         try:
             rounds = iter_rounds(cfg)
             for _ in rounds:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .graph import FAMILIES
@@ -191,8 +191,7 @@ def _parse(parser, path) -> SimConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     n: tuple[int, ...]
     max_value: tuple[int, ...]
     q: tuple[float, ...]

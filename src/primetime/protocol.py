@@ -42,7 +42,6 @@ check that against a naive round loop that merges every delivery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from math import gcd
 from typing import Iterable
@@ -67,7 +66,6 @@ class Variant(str, enum.Enum):
 _PRIMETIME = Variant.PRIMETIME
 
 
-@dataclass
 class AgentState:
     """One agent's protocol state.
 
@@ -80,26 +78,30 @@ class AgentState:
     so late data and duplicate goodbyes are ignored.
     """
 
-    agent_id: int
-    own_prime: int
-    own_value: int
-    variant: Variant
-    max_value: int
-    table: dict[int, int] = field(default_factory=dict)
-    product: int = field(init=False)
-    unsent: dict[int, int] = field(init=False)
-    goodbye_relay: set[int] = field(default_factory=set)
-    departed: set[int] = field(default_factory=set)
-    active: bool = True
-
-    def __post_init__(self):
-        if not 1 <= self.own_value <= self.max_value:
-            raise ProtocolError(
-                f"agent {self.agent_id}: value {self.own_value} outside [1, {self.max_value}]"
-            )
-        self.table.setdefault(self.own_prime, self.own_value)
-        self.product = encode(self.table.items(), max_exponent=self.max_value)
+    def __init__(self, agent_id: int, own_prime: int, own_value: int, variant: Variant,
+                 max_value: int, table: dict[int, int] | None = None,
+                 goodbye_relay: set[int] | None = None, departed: set[int] | None = None,
+                 active: bool = True):
+        if not 1 <= own_value <= max_value:
+            raise ProtocolError(f"agent {agent_id}: value {own_value} outside [1, {max_value}]")
+        self.agent_id = agent_id
+        self.own_prime = own_prime
+        self.own_value = own_value
+        self.variant = variant
+        self.max_value = max_value
+        self.table = {} if table is None else table
+        self.table.setdefault(own_prime, own_value)
+        self.product = encode(self.table.items(), max_exponent=max_value)
         self.unsent = dict(self.table)
+        self.goodbye_relay = set() if goodbye_relay is None else goodbye_relay
+        self.departed = set() if departed is None else departed
+        self.active = active
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "AgentState(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     @property
     def sentinel(self) -> int:

@@ -30,10 +30,9 @@ trace byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, GraphError, ProtocolError
@@ -43,16 +42,14 @@ from .protocol import (AgentState, Variant, form_message, join, leave,
                        receive_message)
 
 
-@dataclass(frozen=True)
-class JoinEvent:
+class JoinEvent(NamedTuple):
     round_index: int
     node: int
     attach_to: tuple[int, ...]
     value: int
 
 
-@dataclass(frozen=True)
-class LeaveEvent:
+class LeaveEvent(NamedTuple):
     round_index: int
     node: int
 
@@ -60,8 +57,7 @@ class LeaveEvent:
 Event = Union[JoinEvent, LeaveEvent]
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(NamedTuple):
     """A named family (with n and, for random graphs, p), an edge-list file,
     or an explicit inline edge set."""
     family: str | None = None
@@ -85,8 +81,7 @@ class TopologySpec:
             raise ConfigError(f"topology: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     topology: TopologySpec
     variant: Variant = Variant.PRIMETIME
     max_value: int = 4
@@ -97,7 +92,7 @@ class SimConfig:
     max_rounds: int | None = None  # default 4 * diameter + 16
     extra_rounds: int = 3  # rounds recorded past completion, to expose steady state
     seed: int = 0
-    n_max: int | None = None  # agent-count cap for the tabular size baseline
+    n_max: int | None = None  # id-field cap of the tabular size baseline, >= agent count
 
     def validate(self) -> None:
         if self.max_value < 1:
@@ -125,7 +120,6 @@ class SimConfig:
                 raise ConfigError(f"drop_schedule: negative round {r}")
 
 
-@dataclass
 class RoundTrace:
     """Everything observable about one round, keyed by agent id.
 
@@ -145,15 +139,20 @@ class RoundTrace:
     own, shares that round's `products`, `table_sizes` and `messages`
     objects, so a consumer must not change them.
     """
-    round_index: int
-    products: dict[int, int]  # start-of-round table encodings, present agents only
-    table_sizes: dict[int, int]
-    complete: bool
-    max_value: int
-    messages: dict[int, int]
-    edges: tuple[tuple[int, int], ...]
-    delivered: list[tuple[int, int]]
-    anomalies: list[str] = field(default_factory=list)
+
+    def __init__(self, round_index: int, products: dict[int, int],
+                 table_sizes: dict[int, int], complete: bool, max_value: int,
+                 messages: dict[int, int], edges: tuple[tuple[int, int], ...],
+                 delivered: list[tuple[int, int]], anomalies: list[str] | None = None):
+        self.round_index = round_index
+        self.products = products  # start-of-round table encodings, present agents only
+        self.table_sizes = table_sizes
+        self.complete = complete
+        self.max_value = max_value
+        self.messages = messages
+        self.edges = edges
+        self.delivered = delivered
+        self.anomalies = [] if anomalies is None else anomalies
 
     @cached_property
     def dropped(self) -> list[tuple[int, int]]:

@@ -187,6 +187,23 @@ def test_n_max_below_1_exits_2(tmp_path, capsys, n_max):
     assert capsys.readouterr().err == f"config error: n_max must be >= 1, got {n_max}\n"
 
 
+def test_n_max_below_the_agent_count_exits_2(tmp_path, capsys):
+    # An 8-node path needs a 3-bit id field; n_max = 2 would give it 1 bit.
+    cfg = write_config(tmp_path, (REPO / "configs" / "path8.ini").read_text()
+                       + "\n[analysis]\nn_max = 2\n")
+    assert main(["compare-size", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: analysis.n_max: 2 is below the 8 agents of the run\n")
+
+
+@pytest.mark.parametrize("n_max, code", [(4, 2), (5, 0)])
+def test_n_max_counts_the_agents_that_join(tmp_path, capsys, n_max, code):
+    cfg = write_config(tmp_path, BASIC + "\n[events]\nschedule = 2 join 5 4 1\n"
+                       f"\n[analysis]\nn_max = {n_max}\n")
+    assert main(["compare-size", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert ("n_max" in capsys.readouterr().err) == (code == 2)
+
+
 def test_sweep_seed_invariant_without_loss(tmp_path):
     cfg = write_config(tmp_path, """
 [topology]

@@ -4,11 +4,24 @@ import sys
 
 import primetime
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
 
 
 def test_every_export_resolves():
     assert [name for name in primetime.__all__ if not hasattr(primetime, name)] == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # Every command pays for its imports; `dataclasses` alone brings in
+    # `inspect`, `ast`, `dis` and `tokenize`.  -S keeps the host's site
+    # imports out of the check.
+    code = ("import sys, primetime.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(REPO / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_a_failing_hypothesis_test_reports_its_example(tmp_path):

@@ -104,6 +104,21 @@ def test_receive_huge_exponent_is_cheap_and_changes_nothing(variant):
     assert agent == before
 
 
+def test_agents_that_differ_only_in_unsent_or_departed_are_unequal():
+    # The "changes nothing" tests compare a deep copy with ==, which must
+    # see every attribute, the ones derived from the table included.
+    sent, unsent = fresh(Variant.INCREMENTAL), fresh(Variant.INCREMENTAL)
+    form_message(sent)
+    assert (sent.table, sent.product) == (unsent.table, unsent.product)
+    assert sent.unsent != unsent.unsent
+    assert sent != unsent
+    stayed, saw_leave = fresh(), fresh()
+    saw_leave.departed.add(11)
+    assert saw_leave != stayed
+    assert copy.deepcopy(saw_leave) == saw_leave
+    assert repr(stayed).startswith("AgentState(agent_id=1, own_prime=7, own_value=2, ")
+
+
 def test_receive_decodes_a_non_smooth_message_once(monkeypatch):
     # a stored pair, a new pair and a residue past the cap
     agent = fresh(prime=2, value=1, max_value=4)

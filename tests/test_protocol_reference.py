@@ -17,7 +17,7 @@ import copy
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import example, given, settings
@@ -464,12 +464,12 @@ STARVED = SimConfig(topology=CYCLE12, data_values=(1, 2, 3, 4) * 3, max_rounds=5
     STARVED,
 ], ids=["lossy_seed0", "lossy_seed1", "lossy_seed2", "lossy_seed3", "starved_sponsor"])
 def test_lossy_churn_runs_match_the_reference_loop(cfg, variant):
-    assert_matches_reference(replace(cfg, variant=variant))
+    assert_matches_reference(cfg._replace(variant=variant))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_starved_sponsor_hands_out_a_prime_in_use(variant):
-    rounds, primes, _, _ = observed(replace(STARVED, variant=variant))
+    rounds, primes, _, _ = observed(STARVED._replace(variant=variant))
     assert primes[13] == 2
     assert any("rejected" in note for *_, notes in rounds for note in notes)
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import itertools
 import random
@@ -13,8 +12,8 @@ from primetime.errors import ConfigError
 from primetime.graph import diameter, eccentricity, generate, hop_sets
 from primetime.primes import decode
 from primetime.protocol import Variant, form_message
-from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, SimConfig, TopologySpec,
-                           apply_loss, iter_rounds, run, summary_text,
+from primetime.sim import (TRACE_COLUMNS, JoinEvent, LeaveEvent, RoundTrace, SimConfig,
+                           TopologySpec, apply_loss, iter_rounds, run, summary_text,
                            with_final_primes, write_summary, write_trace_csv)
 
 
@@ -181,7 +180,9 @@ def test_trace_csv_repeats_rows_only_when_both_dicts_are_shared(tmp_path):
     rounds = run(config(topology=TopologySpec(family="path", n=2), data_values=(1, 2)))
     first = rounds.traces[0]
     rounds.traces = rounds._rounds = [
-        dataclasses.replace(first, round_index=k, table_sizes={1: k + 1, 2: 1})
+        RoundTrace(round_index=k, products=first.products, table_sizes={1: k + 1, 2: 1},
+                   complete=first.complete, max_value=first.max_value,
+                   messages=first.messages, edges=first.edges, delivered=first.delivered)
         for k in range(3)]
     write_trace_csv(rounds, tmp_path / "trace.csv")
     expected = csv_text(trace_rows(rounds))

@@ -5,7 +5,6 @@ before it streamed, fed from `run(cfg)`; the streaming CLI must write the
 same bytes.
 """
 import csv
-import dataclasses
 import gc
 import io
 import pathlib
@@ -164,8 +163,8 @@ def reference_sweep(path) -> tuple[bytes, int]:
     rows, anomalies = [], 0
     for n, m, q, variant, seed in grid.points():
         spec = TopologySpec(family=base.topology.family, n=n, p=base.topology.p)
-        cfg = dataclasses.replace(base, topology=spec, max_value=m, loss_q=q,
-                                  variant=variant, seed=seed)
+        cfg = base._replace(topology=spec, max_value=m, loss_q=q, variant=variant,
+                            seed=seed)
         try:
             result = run(cfg)
         except PrimeTimeError as exc:
@@ -189,7 +188,7 @@ def reference_sweep(path) -> tuple[bytes, int]:
 def test_run_and_compare_size_match_the_whole_run_writers(tmp_path, capsys, name, variant):
     path = tmp_path / "cfg.ini"
     path.write_text(CONFIGS[name])
-    result = run(dataclasses.replace(load_config(path), variant=Variant(variant)))
+    result = run(load_config(path)._replace(variant=Variant(variant)))
     out = tmp_path / "out"
     argv = ["--config", str(path), "--out", str(out), "--variant", variant, "--strict"]
     strict_code = 3 if result.anomaly_count else 0
@@ -224,7 +223,7 @@ def test_check_streams_and_matches_the_whole_run_oracles(tmp_path, capsys, monke
     if name == "cycle9":
         path = tmp_path / "cfg.ini"
         path.write_text(CYCLE)
-    result = run(dataclasses.replace(load_config(path), variant=Variant(variant)))
+    result = run(load_config(path)._replace(variant=Variant(variant)))
     reference_verdicts(result, tmp_path / "expected.json")
 
     def keeps_every_round(cfg):
