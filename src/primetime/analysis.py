@@ -152,11 +152,13 @@ SIZE_REPORT_COLUMNS = ("n", "M", "round", "agent", "primetime_bits", "tabular_bi
 def size_report_rows(result: Rounds) -> Iterator[tuple]:
     """Per-transmission size comparison rows for one run, as its rounds end.
 
-    The pair count behind each tabular row is recovered from the traced
-    message itself (its number of distinct prime factors).  A message often
-    repeats from one round to the next (the full variant resends an
-    unchanged table), so the counts of the previous round's messages are
-    kept for reuse, and only those.
+    The `n_max` check runs in the call itself, once the run has passed its
+    last join, so a writer can make it before it creates its file; the rows
+    follow from the returned iterator.  The pair count behind each tabular
+    row is recovered from the traced message itself (its number of distinct
+    prime factors).  A message often repeats from one round to the next
+    (the full variant resends an unchanged table), so the counts of the
+    previous round's messages are kept for reuse, and only those.
     """
     cfg = result.config
     traces = with_final_primes(result)
@@ -164,27 +166,31 @@ def size_report_rows(result: Rounds) -> Iterator[tuple]:
     n_max = cfg.n_max if cfg.n_max is not None else agents
     if n_max < agents:
         raise ConfigError(f"analysis.n_max: {n_max} is below the {agents} agents of the run")
-    previous: dict[int, int] = {}
-    for trace in traces:
-        current: dict[int, int] = {}
-        for agent in sorted(trace.messages):
-            message = trace.messages[agent]
-            pair_count = current.get(message)
-            if pair_count is None:
-                pair_count = current[message] = (
-                    previous[message] if message in previous
-                    else prime_count(message, max_exponent=2 * cfg.max_value + 1))
-            yield (len(result.initial_topology.nodes), cfg.max_value,
-                   trace.round_index, agent, message.bit_length(),
-                   tabular_bits(pair_count, n_max, cfg.max_value))
-        previous = current
+
+    def rows() -> Iterator[tuple]:
+        previous: dict[int, int] = {}
+        for trace in traces:
+            current: dict[int, int] = {}
+            for agent in sorted(trace.messages):
+                message = trace.messages[agent]
+                pair_count = current.get(message)
+                if pair_count is None:
+                    pair_count = current[message] = (
+                        previous[message] if message in previous
+                        else prime_count(message, max_exponent=2 * cfg.max_value + 1))
+                yield (len(result.initial_topology.nodes), cfg.max_value,
+                       trace.round_index, agent, message.bit_length(),
+                       tabular_bits(pair_count, n_max, cfg.max_value))
+            previous = current
+    return rows()
 
 
 def write_size_report_csv(result: Rounds, path) -> None:
+    rows = size_report_rows(result)  # a config error leaves no file
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SIZE_REPORT_COLUMNS)
-        writer.writerows(size_report_rows(result))
+        writer.writerows(rows)
 
 
 def write_verdicts_json(verdicts: Sequence[CheckVerdict], path) -> None:

@@ -12,10 +12,13 @@ exponent M + 1, one past the data range [1, M].  Receivers drop the pair and
 relay the sentinel exactly once, so the goodbye floods outward while late
 copies of the departed pair are discarded.
 
-The state kept beside the table makes each round cost only what is new.  The
+The state kept beside the table makes each round cost only what is new, and
+every message is built from running products, with nothing to encode.  The
 running `product` is the table's encoding, multiplied on insert and divided
-on a goodbye, so the full variant sends it as is; `unsent` holds the pairs
-learned since the last transmission, which is the incremental message.
+on a goodbye, so the full variant sends it as is; `pending` is the product of
+the pairs learned since the last transmission, kept the same way, which is
+the incremental message; and `relay` is the product of the sentinel powers
+of the goodbyes still to pass on, which either message carries.
 
 A reception merges only the pairs the table does not already hold with
 that value, and how it finds them follows what each variant sends.  A
@@ -70,18 +73,17 @@ class AgentState:
     """One agent's protocol state.
 
     `table` maps prime -> value and never stores the sentinel.  `product`
-    always equals the encoding of `table`, and `unsent` holds the pairs
-    inserted since the last transmission (at first, the initial table); both
-    are kept in step by `receive_message`, so the table must change only
-    through it.  `goodbye_relay` holds primes whose sentinel goes out with
-    the next message, exactly once; `departed` keeps every prime ever removed
-    so late data and duplicate goodbyes are ignored.
+    always equals the encoding of `table`, and `pending` the encoding of the
+    pairs inserted since the last transmission (at first, the own pair);
+    both are kept in step by `receive_message`, so the table must change
+    only through it.  `relay` is the product of prime**(M + 1) over the
+    goodbyes that go out with the next message, exactly once, and is 1 when
+    there are none; `departed` keeps every prime ever removed so late data
+    and duplicate goodbyes are ignored.
     """
 
     def __init__(self, agent_id: int, own_prime: int, own_value: int, variant: Variant,
-                 max_value: int, table: dict[int, int] | None = None,
-                 goodbye_relay: set[int] | None = None, departed: set[int] | None = None,
-                 active: bool = True):
+                 max_value: int):
         if not 1 <= own_value <= max_value:
             raise ProtocolError(f"agent {agent_id}: value {own_value} outside [1, {max_value}]")
         self.agent_id = agent_id
@@ -89,13 +91,11 @@ class AgentState:
         self.own_value = own_value
         self.variant = variant
         self.max_value = max_value
-        self.table = {} if table is None else table
-        self.table.setdefault(own_prime, own_value)
-        self.product = encode(self.table.items(), max_exponent=max_value)
-        self.unsent = dict(self.table)
-        self.goodbye_relay = set() if goodbye_relay is None else goodbye_relay
-        self.departed = set() if departed is None else departed
-        self.active = active
+        self.table = {own_prime: own_value}
+        self.product = self.pending = encode(self.table.items(), max_exponent=max_value)
+        self.relay = 1
+        self.departed = set()
+        self.active = True
 
     def __eq__(self, other):
         return type(other) is type(self) and vars(self) == vars(other)
@@ -111,26 +111,20 @@ class AgentState:
 def form_message(state: AgentState) -> int:
     """Build this round's outgoing message and roll the transmission state.
 
-    The full variant sends the whole table (its running product); the
+    The full variant sends the whole table (its running `product`); the
     incremental variant sends only the pairs learned since its previous
-    transmission.  Pending goodbye sentinels ride along as (prime, M + 1)
-    pairs.  Afterwards the unsent log and the relay set empty, so each
-    sentinel and each incremental pair goes out exactly once.  Returns 1
-    when there is nothing to send.
+    transmission (`pending`).  Pending goodbye sentinels ride along as the
+    factor `relay`.  Afterwards `pending` and `relay` are 1, so each sentinel
+    and each incremental pair goes out exactly once.  Returns 1 when there
+    is nothing to send.
     """
     if not state.active:
         raise ProtocolError(f"agent {state.agent_id} already departed")
-    if state.variant is _PRIMETIME:
-        message = state.product
-    elif state.unsent:
-        message = encode(state.unsent.items(), max_exponent=state.max_value)
-    else:
-        message = 1
-    if state.goodbye_relay:
-        goodbyes = [(p, state.sentinel) for p in sorted(state.goodbye_relay)]
-        message *= encode(goodbyes, max_exponent=state.sentinel)
-        state.goodbye_relay = set()
-    state.unsent = {}
+    message = state.product if state.variant is _PRIMETIME else state.pending
+    state.pending = 1
+    if state.relay > 1:  # a full-variant message stays its `product` object
+        message *= state.relay
+        state.relay = 1
     return message
 
 
@@ -214,7 +208,7 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     for prime, exponent in pairs:
         if exponent <= state.max_value:
             if prime not in state.departed and prime not in state.table:
-                state.table[prime] = state.unsent[prime] = exponent
+                state.table[prime] = exponent
                 gained *= prime**exponent
         else:
             if prime == state.own_prime:
@@ -224,15 +218,16 @@ def receive_message(state: AgentState, message: int) -> list[str]:
                 continue
             if prime in state.table:
                 lost *= prime**state.table.pop(prime)
-                state.unsent.pop(prime, None)
             else:
                 anomalies.append(f"goodbye for unknown prime {prime}")
             state.departed.add(prime)
-            state.goodbye_relay.add(prime)
+            state.relay *= prime**state.sentinel
     if gained > 1:
         state.product *= gained
+        state.pending *= gained
     if lost > 1:
         state.product //= lost
+        state.pending //= gcd(state.pending, lost)
     return anomalies
 
 

@@ -286,9 +286,9 @@ class Rounds:
         # leave makes a full-variant message differ from its product, so
         # neither was in the round; a leave message is never 1, and a pending
         # relay makes an incremental message other than 1.  So no table,
-        # product, relay set or, behind `form_message`, `unsent` changed, and
-        # no agent left.  The next round with no event of its own is then a
-        # fixed point: no agent joins or leaves, so the topology and the
+        # `product`, `relay` or, behind `form_message`, `pending` changed,
+        # and no agent left.  The next round with no event of its own is then
+        # a fixed point: no agent joins or leaves, so the topology and the
         # required pairs are unchanged; its snapshot, completion and messages
         # are the previous round's, shared, and only its loss draws are made;
         # and it is quiet too, with no anomaly.  The carry ends by itself at
@@ -334,7 +334,7 @@ class Rounds:
                 table_sizes = {i: len(agents[i].table) for i in present}
                 required = {(agents[i].own_prime, agents[i].own_value) for i in present}
                 complete = all(agents[i].table.items() >= required for i in present)
-                relaying = any(agents[i].goodbye_relay for i in present)
+                relaying = any(agents[i].relay > 1 for i in present)
 
                 messages: dict[int, int] = {}
                 for i in present:

@@ -196,6 +196,14 @@ def test_n_max_below_the_agent_count_exits_2(tmp_path, capsys):
         "config error: analysis.n_max: 2 is below the 8 agents of the run\n")
 
 
+def test_n_max_error_leaves_no_size_report(tmp_path):
+    cfg = write_config(tmp_path, (REPO / "configs" / "path8.ini").read_text()
+                       + "\n[analysis]\nn_max = 2\n")
+    out = tmp_path / "out"
+    assert main(["compare-size", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "size_report.csv").exists()
+
+
 @pytest.mark.parametrize("n_max, code", [(4, 2), (5, 0)])
 def test_n_max_counts_the_agents_that_join(tmp_path, capsys, n_max, code):
     cfg = write_config(tmp_path, BASIC + "\n[events]\nschedule = 2 join 5 4 1\n"

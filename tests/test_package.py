@@ -1,4 +1,5 @@
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,20 @@ PYPROJECT = REPO / "pyproject.toml"
 
 def test_every_export_resolves():
     assert [name for name in primetime.__all__ if not hasattr(primetime, name)] == []
+
+
+def test_readme_python_examples_run(capsys):
+    # README's ```python blocks, in order and in one namespace, as a reader
+    # would paste them; the first prints a completion round and a diameter
+    # that it says are equal.
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    completion_round, diameter = capsys.readouterr().out.splitlines()[0].split()
+    assert completion_round == diameter
 
 
 def test_importing_the_cli_loads_no_dataclasses():

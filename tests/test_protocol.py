@@ -110,7 +110,7 @@ def test_agents_that_differ_only_in_unsent_or_departed_are_unequal():
     sent, unsent = fresh(Variant.INCREMENTAL), fresh(Variant.INCREMENTAL)
     form_message(sent)
     assert (sent.table, sent.product) == (unsent.table, unsent.product)
-    assert sent.unsent != unsent.unsent
+    assert sent.pending != unsent.pending
     assert sent != unsent
     stayed, saw_leave = fresh(), fresh()
     saw_leave.departed.add(11)
@@ -157,8 +157,8 @@ def test_incremental_reception_decodes_the_whole_message_once(monkeypatch):
     assert receive_message(agent, message) == ["goodbye for unknown prime 11"]
     assert decoded == [message]
     assert agent.table == {2: 1, 5: 4}
-    assert agent.unsent == {2: 1, 5: 4}
-    assert agent.goodbye_relay == {11}
+    assert agent.pending == 2 * 5**4
+    assert agent.relay == 11**5
 
 
 @pytest.mark.parametrize("family, n", [("star", 9), ("path", 8), ("complete", 6)])
@@ -235,7 +235,7 @@ def test_receive_sentinel_removes_and_queues_relay():
     receive_message(agent, 5**4)
     assert receive_message(agent, 5**5) == []  # sentinel exponent M+1
     assert agent.table == {2: 1}
-    assert agent.goodbye_relay == {5}
+    assert agent.relay == 5**5
     assert agent.departed == {5}
 
 
@@ -247,7 +247,18 @@ def test_sentinel_relayed_exactly_once_then_ignored():
     assert message == 2 * 5**5
     assert form_message(agent) == 2  # relay cleared after one send
     receive_message(agent, 5**5)  # duplicate goodbye ignored
-    assert agent.goodbye_relay == set()
+    assert agent.relay == 1
+
+
+def test_goodbye_before_the_send_takes_the_pair_out_of_the_news():
+    # the pair 5**4 is learned and leaves before it goes out; the next
+    # incremental message relays the goodbye alone, not 5**(4 + 5)
+    agent = fresh(Variant.INCREMENTAL, prime=2, value=1, max_value=4)
+    form_message(agent)
+    receive_message(agent, 3 * 5**4)
+    receive_message(agent, 5**5)
+    assert agent.pending == 3
+    assert form_message(agent) == 3 * 5**5
 
 
 def test_late_data_for_departed_prime_is_discarded():
@@ -264,14 +275,14 @@ def test_combined_leave_exponent_processed_as_sentinel():
     receive_message(agent, 5**4)
     receive_message(agent, 5**9)
     assert 5 not in agent.table
-    assert agent.goodbye_relay == {5}
+    assert agent.relay == 5**5
 
 
 def test_sentinel_for_unknown_prime_logged_and_relayed():
     agent = fresh(prime=2, value=1, max_value=4)
     notes = receive_message(agent, 5**5)
     assert notes == ["goodbye for unknown prime 5"]
-    assert agent.goodbye_relay == {5}
+    assert agent.relay == 5**5
     notes = receive_message(agent, 5**5)
     assert notes == []  # already departed
 
@@ -295,7 +306,7 @@ def test_join_picks_smallest_unused_prime():
         state = join(9, sponsor_holding(2, 3, 5, 7, variant=variant, max_value=6), value=2)
         assert state.own_prime == 11
         assert state.table == {11: 2}
-        assert state.unsent == {11: 2}
+        assert state.pending == 11**2
         assert (state.variant, state.max_value) == (variant, 6)
 
 

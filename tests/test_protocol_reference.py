@@ -6,8 +6,9 @@ is the encoding of the whole table (full variant) or of the table minus the
 snapshot taken at the last transmission (incremental variant), and every
 reception decodes the whole message and merges it pair by pair.  The
 merge is applied to a copy and committed only if it succeeds, so a
-rejected message changes nothing.  The package's running product, unsent
-log and gcd-cofactor merge must agree with it on every observable.
+rejected message changes nothing.  The package's running products
+(`product`, `pending` and `relay`) and gcd-cofactor merge must agree with it
+on every observable.
 
 `ref_run` drives the reference agents through a naive synchronous round
 loop, and the engine's loop, with its memos and quiet-round carry, must
@@ -137,10 +138,11 @@ def outcome(fn, *args):
 def assert_same_state(state, ref):
     assert state.table == ref.table
     assert state.departed == ref.departed
-    assert state.goodbye_relay == ref.goodbye_relay
+    assert state.relay == math.prod(p**(ref.max_value + 1) for p in ref.goodbye_relay)
     assert state.active == ref.active
     assert state.product == encode(state.table.items(), max_exponent=state.max_value)
-    assert state.unsent == {p: x for p, x in ref.table.items() if p not in ref.snapshot}
+    assert state.pending == math.prod(p**x for p, x in ref.table.items()
+                                      if p not in ref.snapshot)
 
 
 @st.composite
@@ -225,9 +227,9 @@ def test_rejected_message_changes_nothing():
         receive_message(state, 3 * 5**2 * 7**3)
     assert state.table == {2: 1, 7: 2, 11: 3} == before.table
     assert state.product == before.product == 2 * 7**2 * 11**3
-    assert state.unsent == before.unsent == {11: 3}
+    assert state.pending == before.pending == 11**3
     assert state.departed == before.departed == {13}
-    assert state.goodbye_relay == before.goodbye_relay == {13}
+    assert state.relay == before.relay == 13**5
 
 
 def ref_connected(adjacency):
