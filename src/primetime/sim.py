@@ -7,21 +7,20 @@ the transmitted messages, so row k of a trace holds exactly the table and
 message an agent had at round k.  A table is recorded as the agent's
 running product, its encoding, so an unchanged table costs no copy.
 
-The engine is one generator loop: `iter_rounds` yields each round's trace
-as the round ends and keeps none, so a consumer that writes rows and keeps
-totals holds one round at a time; `run` drains the stream and keeps its
-rounds, which iterating it then replays.
+The engine is one generator loop over four phases, module-level functions
+that it calls through their module globals: `enter` applies the round's
+join or checks its leave, `snapshot` records the tables and forms the
+messages, `merge` merges what `apply_loss` delivered, and `retire` removes
+the leaver.  `iter_rounds` yields each round's trace as the round ends and
+keeps none, so a consumer that writes rows and keeps totals holds one round
+at a time; `run` drains the stream and keeps its rounds, which iterating it
+then replays.
 
-A round costs only what changed, through two exact memos of the loop.  A
-delivery equal to the last message that merged cleanly from that sender
-into that receiver is skipped, because merging it again is a no-op; and a
-quiet round, one whose messages merge nothing and would be formed again,
-skips its merges, and the rounds after it up to the next event carry its
-snapshot and messages forward, because nothing that makes them can have
-changed.  An incremental round is quiet when every message is 1, a
-full-variant one when every message equals every present agent's product;
-only the loss draws of a carried round are made afresh.  The tests check
-the loop against a naive reading of it, with no memo, in
+A round costs only what changed, through two exact memos: `merge` skips a
+delivery that already merged cleanly, and after a quiet round the loop
+carries its snapshot instead of calling `snapshot`.  Each memo's no-op
+argument is in the docstring of its phase.  The tests check the loop
+against a naive reading of it, with no memo, in
 `tests/test_protocol_reference.py`.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
@@ -32,6 +31,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
 from . import graph as graphmod
@@ -129,15 +129,16 @@ class RoundTrace:
     with its message.  `tables` factors them on first use.
 
     `complete` is the completion predicate: every present agent's
-    start-of-round table held every present agent's pair.  The engine
-    evaluates it on the live tables when it takes the snapshot.
+    start-of-round table held every present agent's pair.  The `snapshot`
+    phase evaluates it on the live tables.
 
     `edges` is every directed edge of the round's topology, the tuple the
     topology keeps, and `delivered` the ones that got through in the same
-    order; `dropped` is the rest, derived on first use.  A carried round,
-    one after a round whose messages merged nothing, with no event of its
-    own, shares that round's `products`, `table_sizes` and `messages`
-    objects, so a consumer must not change them.
+    order; `dropped` is the rest, derived on first use.  The phases `enter`,
+    `merge` and `retire` log `anomalies`.  A carried round, one after a
+    quiet round with no event of its own (see `snapshot`), shares that
+    round's `products`, `table_sizes` and `messages` objects, so a consumer
+    must not change them.
     """
 
     def __init__(self, round_index: int, products: dict[int, int],
@@ -183,6 +184,122 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
         return list(edges)
     draw = rng.random
     return [e for e in edges if draw() >= q]
+
+
+def enter(k: int, event: Event | None, topology: Topology, agents: dict[int, AgentState],
+          merged: dict[int, dict[int, int]], anomalies: list[str]) -> Topology:
+    """Apply round k's join, or check its leave, and return the round's
+    topology.  The leaver goes in `snapshot` and `retire`."""
+    if isinstance(event, JoinEvent):
+        if event.node in topology.nodes:
+            raise ConfigError(f"events: join of present agent {event.node} at round {k}")
+        absent = next((a for a in event.attach_to if a not in topology.nodes), None)
+        if absent is not None:
+            raise ConfigError(f"events: join of agent {event.node} at round {k} "
+                              f"attaches to absent agent {absent}")
+        topology = topology.with_node_added(event.node, event.attach_to)
+        state = join(event.node, agents[min(event.attach_to)], event.value)
+        # A sponsor whose table is incomplete can offer a prime in use.
+        holder = next((i for i in topology.nodes if i != event.node
+                       and agents[i].own_prime == state.own_prime), None)
+        if holder is not None:
+            anomalies.append(f"round {k}: agent {event.node} joined with prime "
+                             f"{state.own_prime}, already held by agent {holder}")
+        agents[event.node] = state
+        merged.pop(event.node, None)  # ids are reused
+    elif isinstance(event, LeaveEvent):
+        if event.node not in topology.nodes:
+            raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
+        if topology.nodes == (event.node,):
+            raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
+    return topology
+
+
+def snapshot(agents: dict[int, AgentState], present: tuple[int, ...], leaving: int | None,
+             full: bool) -> tuple[dict[int, int], dict[int, int], bool, dict[int, int], bool, bool]:
+    """Snapshot the present agents' tables and form their messages, the
+    leaver's goodbye in place of its own.  Returns `products`,
+    `table_sizes`, `complete`, `messages`, whether a goodbye relay was
+    pending, and whether the round is quiet: its messages merge nothing and
+    would be formed again.  An incremental round is quiet when every
+    message is 1, a full-variant one when every message equals every
+    present agent's product.
+
+    A quiet round skips `merge`, and the loop carries its snapshot through
+    the rounds after it up to the next event, calling this phase for none
+    of them.  Merging the message 1 is a no-op, and so is merging a
+    full-variant table equal to the receiver's.  A goodbye relay or a leave
+    makes a full-variant message differ from its product, so neither was in
+    the round; a leave message is never 1, and a pending relay makes an
+    incremental message other than 1.  So no table, `product`, `relay` or,
+    behind `form_message`, `pending` changed, and no agent left.  The next
+    round with no event of its own is then a fixed point: no agent joins or
+    leaves, so the topology and the required pairs are unchanged; its
+    snapshot, completion and messages are the quiet round's, shared, and
+    only its loss draws are made; and it is quiet too, with no anomaly.  The
+    carry ends by itself at the next join or leave.  The full-variant clause
+    needs its variant guard: an incremental agent's first message is its
+    whole table, so a lone incremental agent's round 0 passes it, but its
+    next message is 1, which is not formed again.
+    """
+    products = {i: agents[i].product for i in present}
+    table_sizes = {i: len(agents[i].table) for i in present}
+    required = {(agents[i].own_prime, agents[i].own_value) for i in present}
+    complete = all(agents[i].table.items() >= required for i in present)
+    relaying = any(agents[i].relay > 1 for i in present)
+    messages = {i: leave(agents[i]) if i == leaving else form_message(agents[i])
+                for i in present}
+    if full:
+        product = products[present[0]]
+        quiet = all(m == product for m in chain(messages.values(), products.values()))
+    else:
+        quiet = max(messages.values()) == 1  # messages are >= 1
+    return products, table_sizes, complete, messages, relaying, quiet
+
+
+def merge(trace: RoundTrace, agents: dict[int, AgentState],
+          merged: dict[int, dict[int, int]]) -> None:
+    """Merge the round's deliveries, receivers in id order, and log
+    rejections and notes.  `delivered` is sorted by (sender, receiver), so a
+    stable sort by receiver keeps each receiver's senders in id order.
+
+    `merged` maps receiver -> sender -> the last message from sender that
+    merged cleanly into receiver (no exception, no note); such a delivery is
+    skipped.  Merging that message again is a no-op: after a clean merge
+    every data prime of it is in the table with that value or in
+    `departed`, and every sentinel prime is in `departed`.  A pair leaves
+    the table only through a goodbye, which adds its prime to `departed`,
+    and `departed` only grows, so that stays true and a second merge
+    inserts, drops, relays and logs nothing, under either variant.  A
+    message that raised or returned a note is never stored, so it is
+    merged, and rejected or logged, every time it arrives.
+    """
+    k, messages, anomalies = trace.round_index, trace.messages, trace.anomalies
+    for sender, receiver in sorted(trace.delivered, key=itemgetter(1)):
+        message = messages[sender]
+        if message == 1:  # carries nothing; it is most incremental traffic
+            continue
+        clean = merged.setdefault(receiver, {})
+        if clean.get(sender) == message:
+            continue
+        try:
+            notes = receive_message(agents[receiver], message)
+        except (ProtocolError, CodecError) as exc:
+            anomalies.append(f"round {k}: agent {receiver} rejected "
+                             f"message from {sender}: {exc}")
+            continue
+        for note in notes:
+            anomalies.append(f"round {k}: agent {receiver} <- agent {sender}: {note}")
+        if not notes:
+            clean[sender] = message
+
+
+def retire(k: int, leaving: int, topology: Topology, anomalies: list[str]) -> Topology:
+    """Remove round k's leaver and return the topology without it."""
+    topology = topology.without_node(leaving)
+    if not topology.is_connected():
+        anomalies.append(f"round {k}: leave of agent {leaving} disconnected the graph")
+    return topology
 
 
 class Rounds:
@@ -242,19 +359,12 @@ class Rounds:
         return iter(self._rounds)
 
     def _run(self) -> Iterator[RoundTrace]:
-        """The round loop.
-
-        Per round: apply scheduled churn, snapshot tables, form messages (a
-        leaver's goodbye replaces its normal transmission), deliver subject
-        to loss, merge receptions, then retire the leaver from the topology.
-        The run settles at the first round s >= 1 past the last event whose
-        snapshot is complete with no goodbye relay pending; it stops after
-        round s + extra_rounds - 1, or at max_rounds.
-
-        Two exact memos keep a round's cost to what changed: the clean
-        merges (`merged`) and the quiet-round carry (`quiet`).  Each one's
-        no-op argument is written where it is kept.
-        """
+        """The round loop: `enter`, `snapshot` unless the round is carried,
+        delivery under forced drops and loss, `merge` unless the snapshot is
+        quiet, and `retire` on a leave.  The run settles at the first round
+        s >= 1 past the last event whose snapshot is complete with no
+        goodbye relay pending; it stops after round s + extra_rounds - 1, or
+        at max_rounds."""
         cfg = self.config
         agents = self._agents
         max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * self.diameter + 16
@@ -267,128 +377,29 @@ class Rounds:
         for r, src, dst in cfg.drop_schedule:
             forced_drops.setdefault(r, set()).add((src, dst))
 
-        # receiver -> sender -> the last message from sender that merged
-        # cleanly into receiver (no exception, no note).  Merging that message
-        # again is a no-op: after a clean merge every data prime of it is in
-        # the table with that value or in `departed`, and every sentinel
-        # prime is in `departed`.  A pair leaves the table only through a
-        # goodbye, which adds its prime to `departed`, and `departed` only
-        # grows, so that stays true and a second merge inserts, drops, relays
-        # and logs nothing, under either variant.  A message that raised or
-        # returned a note is never stored, so it is merged, and rejected or
-        # logged, every time it arrives.
-        merged: dict[int, dict[int, int]] = {}
-        # Whether the round's messages merge nothing and would be formed
-        # again: incremental, every message 1; full variant, every message
-        # equal to every present agent's product.  Such a round's merges are
-        # skipped.  Merging the message 1 is a no-op, and so is merging a
-        # full-variant table equal to the receiver's.  A goodbye relay or a
-        # leave makes a full-variant message differ from its product, so
-        # neither was in the round; a leave message is never 1, and a pending
-        # relay makes an incremental message other than 1.  So no table,
-        # `product`, `relay` or, behind `form_message`, `pending` changed,
-        # and no agent left.  The next round with no event of its own is then
-        # a fixed point: no agent joins or leaves, so the topology and the
-        # required pairs are unchanged; its snapshot, completion and messages
-        # are the previous round's, shared, and only its loss draws are made;
-        # and it is quiet too, with no anomaly.  The carry ends by itself at
-        # the next join or leave.  The full-variant clause needs its variant
-        # guard: an incremental agent's first message is its whole table, so
-        # a lone incremental agent's round 0 passes it, but its next message
-        # is 1, which is not formed again.
-        quiet = False
-
+        merged: dict[int, dict[int, int]] = {}  # the clean merges, see `merge`
+        quiet = False  # whether the last snapshot was quiet, see `snapshot`
         last_round: int | None = None
         for k in range(max_rounds):
             anomalies: list[str] = []
-            leaving: int | None = None
-
             event = events_by_round.get(k)
-            if isinstance(event, JoinEvent):
-                if event.node in self.topology.nodes:
-                    raise ConfigError(f"events: join of present agent {event.node} at round {k}")
-                absent = next((a for a in event.attach_to if a not in self.topology.nodes), None)
-                if absent is not None:
-                    raise ConfigError(f"events: join of agent {event.node} at round {k} "
-                                      f"attaches to absent agent {absent}")
-                self.topology = self.topology.with_node_added(event.node, event.attach_to)
-                state = join(event.node, agents[min(event.attach_to)], event.value)
-                # A sponsor whose table is incomplete can offer a prime in use.
-                holder = next((i for i in self.topology.nodes if i != event.node
-                               and agents[i].own_prime == state.own_prime), None)
-                if holder is not None:
-                    anomalies.append(f"round {k}: agent {event.node} joined with prime "
-                                     f"{state.own_prime}, already held by agent {holder}")
-                agents[event.node] = state
-                merged.pop(event.node, None)  # ids are reused
-            elif isinstance(event, LeaveEvent):
-                if event.node not in self.topology.nodes:
-                    raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
-                if self.topology.nodes == (event.node,):
-                    raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
-                leaving = event.node
-
-            present = self.topology.nodes
+            leaving = event.node if isinstance(event, LeaveEvent) else None
+            self.topology = enter(k, event, self.topology, agents, merged, anomalies)
             if not (quiet and event is None):
-                products = {i: agents[i].product for i in present}
-                table_sizes = {i: len(agents[i].table) for i in present}
-                required = {(agents[i].own_prime, agents[i].own_value) for i in present}
-                complete = all(agents[i].table.items() >= required for i in present)
-                relaying = any(agents[i].relay > 1 for i in present)
-
-                messages: dict[int, int] = {}
-                for i in present:
-                    if i == leaving:
-                        messages[i] = leave(agents[i])
-                    else:
-                        messages[i] = form_message(agents[i])
+                products, table_sizes, complete, messages, relaying, quiet = snapshot(
+                    agents, self.topology.nodes, leaving, full)
                 bits = [m.bit_length() for m in messages.values()]
-                peak_bits, round_bits = max(bits, default=0), sum(bits)
-                if full:
-                    product = products[present[0]]
-                    quiet = all(m == product for m in chain(messages.values(),
-                                                            products.values()))
-                else:
-                    quiet = peak_bits == 1  # the only 1-bit message is 1
+                peak_bits, round_bits = max(bits), sum(bits)
 
             directed = self.topology.directed_edges
             forced = forced_drops.get(k)
             candidates = [e for e in directed if e not in forced] if forced else directed
-            delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
-
+            trace = RoundTrace(k, products, table_sizes, complete, cfg.max_value, messages,
+                               directed, apply_loss(candidates, cfg.loss_q, loss_rng), anomalies)
             if not quiet:
-                # The message 1 carries nothing; it is most incremental traffic.
-                senders_of: dict[int, list[int]] = {}
-                for sender, target in delivered:
-                    if messages[sender] != 1:
-                        senders_of.setdefault(target, []).append(sender)
-                for receiver in present:
-                    senders = senders_of.get(receiver)
-                    if senders is None:
-                        continue
-                    clean = merged.setdefault(receiver, {})
-                    for sender in senders:
-                        message = messages[sender]
-                        if clean.get(sender) == message:
-                            continue
-                        try:
-                            notes = receive_message(agents[receiver], message)
-                        except (ProtocolError, CodecError) as exc:
-                            anomalies.append(f"round {k}: agent {receiver} rejected "
-                                             f"message from {sender}: {exc}")
-                            continue
-                        for note in notes:
-                            anomalies.append(
-                                f"round {k}: agent {receiver} <- agent {sender}: {note}")
-                        if not notes:
-                            clean[sender] = message
-
+                merge(trace, agents, merged)
             if leaving is not None:
-                self.topology = self.topology.without_node(leaving)
-                if not self.topology.is_connected():
-                    anomalies.append(
-                        f"round {k}: leave of agent {leaving} disconnected the graph"
-                    )
+                self.topology = retire(k, leaving, self.topology, anomalies)
 
             self.rounds_run += 1
             self.peak_message_bits = max(self.peak_message_bits, peak_bits)
@@ -401,18 +412,7 @@ class Rounds:
                     self.completion_round = k
                 if k > last_event_round and not relaying:
                     last_round = k + cfg.extra_rounds - 1
-
-            yield RoundTrace(
-                round_index=k,
-                products=products,
-                table_sizes=table_sizes,
-                complete=complete,
-                max_value=cfg.max_value,
-                messages=messages,
-                edges=directed,
-                delivered=delivered,
-                anomalies=anomalies,
-            )
+            yield trace
             if k == last_round:
                 return
 

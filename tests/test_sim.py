@@ -521,3 +521,58 @@ def test_dropped_is_every_directed_edge_not_delivered():
         assert forced <= set(trace.dropped)
         lost += len(trace.dropped) - len(forced)
     assert lost > 0
+
+
+def test_each_phase_runs_once_in_the_rounds_that_need_it(monkeypatch):
+    # The loop calls every phase through its module global, so a wrapper put
+    # there sees each call: `enter` every round, `snapshot` every round that
+    # is not carried, `merge` every round that is not quiet, `retire` on a
+    # leave.
+    phases = ("enter", "snapshot", "merge", "retire")
+    calls = dict.fromkeys(phases, 0)
+
+    def counting(name):
+        phase = getattr(sim, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return phase(*args)
+        return wrapper
+
+    for name in phases:
+        monkeypatch.setattr(sim, name, counting(name))
+    events = (JoinEvent(12, 7, (1,), 2), LeaveEvent(20, 3))
+    event_rounds = {e.round_index for e in events}
+    for variant in Variant:
+        cfg = config(topology=TopologySpec(family="cycle", n=6), variant=variant,
+                     loss_q=0.3, seed=2, events=events, max_rounds=30, extra_rounds=30)
+        previous = None
+        carried = quiet = 0
+        for trace in iter_rounds(cfg):
+            k = trace.round_index
+            carry = (previous is not None and merges_nothing(previous, variant)
+                     and k not in event_rounds)
+            skip = merges_nothing(trace, variant)
+            assert calls == dict(enter=1, snapshot=int(not carry), merge=int(not skip),
+                                 retire=int(k == 20)), (variant, k)
+            calls.update(dict.fromkeys(phases, 0))
+            carried += carry
+            quiet += skip
+            previous = trace
+        assert k == 29 and carried > 0 and quiet > carried, variant
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_lost_goodbye_relay_strands_the_departed_pair(variant):
+    # A goodbye is relayed exactly once.  Agent 1 leaves at round 6; agent 2
+    # relays its goodbye at round 7, and that one delivery to agent 3 is
+    # dropped.  Agents 3 and 4 keep agent 1's pair (prime 2, value 1) to the
+    # end, yet the run counts as complete from round 3 with no anomaly.
+    result = run(config(topology=TopologySpec(family="path", n=4), variant=variant,
+                        data_values=(1, 2, 3, 4), events=(LeaveEvent(6, 1),),
+                        drop_schedule=((7, 2, 3),)))
+    assert (result.rounds_run, result.completion_round, result.anomaly_count) == (11, 3, 0)
+    last = result.traces[-1]
+    assert sorted(last.tables) == [2, 3, 4]
+    assert 2 not in last.tables[2]
+    assert last.tables[3][2] == last.tables[4][2] == 1
