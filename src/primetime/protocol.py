@@ -36,10 +36,8 @@ merges read the decode cache's `Factorization` in place: its `primes` and
 `exponents` tuples, which every receiver of a message shares, are zipped
 at C level, and no reception copies them into a dict.
 
-Merging a message a second time, after it merged cleanly (no exception and
-no note), changes nothing under either variant: a pair leaves a table only
-through a goodbye, which puts its prime in `departed` for good.  The engine
-relies on this to skip a sender's unchanged message (see `sim`); the tests
+The engine skips a message equal to the receiver's product, which holds
+exactly the table's pairs and merges nothing (see `sim.merge`); the tests
 check that against a naive round loop that merges every delivery.
 """
 from __future__ import annotations

@@ -16,11 +16,11 @@ keeps none, so a consumer that writes rows and keeps totals holds one round
 at a time; `run` drains the stream and keeps its rounds, which iterating it
 then replays.
 
-A round costs only what changed, through two exact memos: `merge` skips a
-delivery that already merged cleanly, and after a quiet round the loop
-carries its snapshot instead of calling `snapshot`.  Each memo's no-op
-argument is in the docstring of its phase.  The tests check the loop
-against a naive reading of it, with no memo, in
+A round costs only what changed.  `merge` skips a delivery that equals the
+receiver's product, a stateless comparison, and after a quiet round the
+loop carries its snapshot instead of calling `snapshot`, its one memo.
+Each no-op argument is in the docstring of its phase.  The tests check
+the loop against a naive reading of it, with no skip and no carry, in
 `tests/test_protocol_reference.py`.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
@@ -187,7 +187,7 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
 
 
 def enter(k: int, event: Event | None, topology: Topology, agents: dict[int, AgentState],
-          merged: dict[int, dict[int, int]], anomalies: list[str]) -> Topology:
+          anomalies: list[str]) -> Topology:
     """Apply round k's join, or check its leave, and return the round's
     topology.  The leaver goes in `snapshot` and `retire`."""
     if isinstance(event, JoinEvent):
@@ -206,7 +206,6 @@ def enter(k: int, event: Event | None, topology: Topology, agents: dict[int, Age
             anomalies.append(f"round {k}: agent {event.node} joined with prime "
                              f"{state.own_prime}, already held by agent {holder}")
         agents[event.node] = state
-        merged.pop(event.node, None)  # ids are reused
     elif isinstance(event, LeaveEvent):
         if event.node not in topology.nodes:
             raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
@@ -257,30 +256,19 @@ def snapshot(agents: dict[int, AgentState], present: tuple[int, ...], leaving: i
     return products, table_sizes, complete, messages, relaying, quiet
 
 
-def merge(trace: RoundTrace, agents: dict[int, AgentState],
-          merged: dict[int, dict[int, int]]) -> None:
+def merge(trace: RoundTrace, agents: dict[int, AgentState]) -> None:
     """Merge the round's deliveries, receivers in id order, and log
     rejections and notes.  `delivered` is sorted by (sender, receiver), so a
     stable sort by receiver keeps each receiver's senders in id order.
 
-    `merged` maps receiver -> sender -> the last message from sender that
-    merged cleanly into receiver (no exception, no note); such a delivery is
-    skipped.  Merging that message again is a no-op: after a clean merge
-    every data prime of it is in the table with that value or in
-    `departed`, and every sentinel prime is in `departed`.  A pair leaves
-    the table only through a goodbye, which adds its prime to `departed`,
-    and `departed` only grows, so that stays true and a second merge
-    inserts, drops, relays and logs nothing, under either variant.  A
-    message that raised or returned a note is never stored, so it is
-    merged, and rejected or logged, every time it arrives.
+    A delivery of 1 or of the receiver's own product is skipped.  A product
+    holds exactly the table's pairs, with their values and no sentinel, so
+    merging it inserts, drops, relays and logs nothing, under either variant.
     """
     k, messages, anomalies = trace.round_index, trace.messages, trace.anomalies
     for sender, receiver in sorted(trace.delivered, key=itemgetter(1)):
         message = messages[sender]
-        if message == 1:  # carries nothing; it is most incremental traffic
-            continue
-        clean = merged.setdefault(receiver, {})
-        if clean.get(sender) == message:
+        if message == 1 or message == agents[receiver].product:
             continue
         try:
             notes = receive_message(agents[receiver], message)
@@ -290,8 +278,6 @@ def merge(trace: RoundTrace, agents: dict[int, AgentState],
             continue
         for note in notes:
             anomalies.append(f"round {k}: agent {receiver} <- agent {sender}: {note}")
-        if not notes:
-            clean[sender] = message
 
 
 def retire(k: int, leaving: int, topology: Topology, anomalies: list[str]) -> Topology:
@@ -377,14 +363,13 @@ class Rounds:
         for r, src, dst in cfg.drop_schedule:
             forced_drops.setdefault(r, set()).add((src, dst))
 
-        merged: dict[int, dict[int, int]] = {}  # the clean merges, see `merge`
         quiet = False  # whether the last snapshot was quiet, see `snapshot`
         last_round: int | None = None
         for k in range(max_rounds):
             anomalies: list[str] = []
             event = events_by_round.get(k)
             leaving = event.node if isinstance(event, LeaveEvent) else None
-            self.topology = enter(k, event, self.topology, agents, merged, anomalies)
+            self.topology = enter(k, event, self.topology, agents, anomalies)
             if not (quiet and event is None):
                 products, table_sizes, complete, messages, relaying, quiet = snapshot(
                     agents, self.topology.nodes, leaving, full)
@@ -397,7 +382,7 @@ class Rounds:
             trace = RoundTrace(k, products, table_sizes, complete, cfg.max_value, messages,
                                directed, apply_loss(candidates, cfg.loss_q, loss_rng), anomalies)
             if not quiet:
-                merge(trace, agents, merged)
+                merge(trace, agents)
             if leaving is not None:
                 self.topology = retire(k, leaving, self.topology, anomalies)
 
@@ -457,45 +442,37 @@ def write_trace_csv(rounds: Rounds, path) -> None:
     and zeroed message fields, keeping the table rectangular.  Every row
     names the agent's final prime.
 
-    A message often reappears (the full variant resends an unchanged table,
-    and neighbours reach the same table a round apart), so the decimal text
-    of each message of the previous round is kept for reuse.  A carried round
-    shares the previous round's dicts, and its rows are the previous round's
-    after the round number, so they are made once per carried stretch and
-    each carried round is written as one string.  Other rounds are written
-    row by row, so that no round's text is held whole.
+    Each round is written as one string, its rows after the round number
+    joined behind that number.  Those row tails are remade only when the
+    round's `messages` or `table_sizes` dict is not the previous round's,
+    so a carried round, which shares both, reuses them.  A message often
+    reappears (the full variant resends an unchanged table, and neighbours
+    reach the same table a round apart), so each distinct message's
+    decimal and bit-length text is made once and kept for the next round.
     """
     traces = with_final_primes(rounds)
     primes = rounds.agent_primes
     agents = sorted(primes)
-    previous: dict[int, str] = {}
     texts: dict[int, str] = {}
-    messages = sizes = tails = None
-
-    def tail(agent: int) -> str:
-        """The agent's row after the round number."""
-        message = messages.get(agent)
-        if message is None:
-            return f"{agent},{primes[agent]},0,0,0,0"
-        text = texts.get(message)
-        if text is None:
-            text = texts[message] = previous.get(message) or decimal(message)
-        return f"{agent},{primes[agent]},{text},{message.bit_length()},{sizes[agent]},1"
-
+    messages = sizes = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for trace in traces:
-            k = trace.round_index
-            if trace.messages is messages and trace.table_sizes is sizes:
-                if tails is None:
-                    tails = [tail(agent) for agent in agents]
-                prefix = f"\r\n{k},"
-                fh.write(prefix[2:] + prefix.join(tails) + "\r\n")
-                continue
-            messages, sizes = trace.messages, trace.table_sizes
-            previous, texts, tails = texts, {}, None
-            for agent in agents:
-                fh.write(f"{k},{tail(agent)}\r\n")
+            if trace.messages is not messages or trace.table_sizes is not sizes:
+                messages, sizes = trace.messages, trace.table_sizes
+                previous, texts, tails = texts, {}, []
+                for agent in agents:
+                    message = messages.get(agent)
+                    if message is None:
+                        tails.append(f"{agent},{primes[agent]},0,0,0,0")
+                        continue
+                    text = texts.get(message)
+                    if text is None:
+                        text = texts[message] = (previous.get(message)
+                                                 or f"{decimal(message)},{message.bit_length()},")
+                    tails.append(f"{agent},{primes[agent]},{text}{sizes[agent]},1")
+            prefix = f"\r\n{trace.round_index},"
+            fh.write(prefix[2:] + prefix.join(tails) + "\r\n")
 
 
 def summary_text(rounds: Rounds) -> str:

@@ -1,10 +1,12 @@
 """The gates that CI runs, checked in tier-1 as well: the workflow file
-parses and every step's script is valid bash, and the benchmark's pinned
-outputs are reproduced byte for byte."""
+parses and every step's script is valid bash, the benchmark's pinned
+outputs are reproduced byte for byte, and the benchmark's tracer still
+installs on the package without changing an output."""
 import functools
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -61,3 +63,28 @@ def test_workload_outputs_match_the_pinned_digests(tmp_path, capsys, scale, name
         digests = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
                    for file in pinned}
         assert digests == pinned, (scale, name, seed)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "churn_cycle10.ini"),
+    ("check", "path8.ini"),
+    ("sweep", "sweep_robustness.ini"),
+])
+def test_traced_command_matches_the_untraced_one(tmp_path, capsys, command, config):
+    argv = [command, "--config", str(REPO / "configs" / config)]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    spans = tmp_path / "spans"
+    spans.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), str(spans), "--",
+         *argv, "--out", str(tmp_path / "traced")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == plain
+    assert json.loads((spans / "spans.json").read_text(encoding="utf-8"))["count"] > 0
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files and files == sorted(p.name for p in (tmp_path / "traced").iterdir())
+    for name in files:
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -11,8 +11,8 @@ rejected message changes nothing.  The package's running products
 on every observable.
 
 `ref_run` drives the reference agents through a naive synchronous round
-loop, and the engine's loop, with its memos and quiet-round carry, must
-agree with it on every round, agent and total.
+loop, and the engine's loop, with its delivery skip and quiet-round carry,
+must agree with it on every round, agent and total.
 """
 import copy
 import math
@@ -428,8 +428,9 @@ CYCLE6 = TopologySpec(family="cycle", n=6)
                    events=(JoinEvent(10, 7, (1,), 2),), max_rounds=30))
 @example(SimConfig(topology=CYCLE6, variant=Variant.INCREMENTAL, loss_q=0.3, seed=3,
                    events=(LeaveEvent(10, 4),), max_rounds=30))
-# Agent 1 leaves and its id joins again a round later.  A merge memo kept
-# across the rejoin skips a message the new agent never merged.
+# Agent 1 leaves and its id joins again a round later.  Any per-receiver
+# merge state kept across the rejoin would skip a message the new agent
+# never merged.
 @example(SimConfig(topology=TopologySpec(family="star", n=5), loss_q=0.3,
                    events=(LeaveEvent(0, 1), JoinEvent(1, 1, (2,), 1)),
                    max_rounds=30, extra_rounds=1))

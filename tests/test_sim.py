@@ -471,6 +471,26 @@ def test_an_unchanged_message_is_merged_once(monkeypatch):
     assert len(calls) == 64
 
 
+@pytest.mark.parametrize("cfg", [
+    config(topology=TopologySpec(family="cycle", n=6), loss_q=0.3, seed=2, max_rounds=30,
+           extra_rounds=30, events=(JoinEvent(12, 7, (1,), 2), LeaveEvent(20, 3))),
+    config(topology=TopologySpec(family="path", n=4)),
+], ids=["lossy_cycle6_churn", "path4"])
+def test_no_delivery_equal_to_the_receivers_product_is_merged(monkeypatch, cfg):
+    # Such a message holds exactly the receiver's pairs, so `merge` skips it,
+    # on its first arrival as on any later one.
+    calls = []
+    receive = sim.receive_message
+
+    def spy(state, message):
+        calls.append(message == state.product)
+        return receive(state, message)
+
+    monkeypatch.setattr(sim, "receive_message", spy)
+    run(cfg)
+    assert calls and not any(calls)
+
+
 def test_quiet_rounds_form_no_messages(monkeypatch):
     calls = []
 
