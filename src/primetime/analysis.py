@@ -1,17 +1,16 @@
 """Message-size metrics, the tabular baseline, and trace checkers.
 
 The checkers read a loss-free closed-graph run round by round against the
-BFS oracle: tables must grow exactly along inclusive hop sets, completion
-must land exactly on the diameter, and messages must match the hop-set
-products (inclusive sets for the full variant, exclusive sets for the
-incremental one).
+BFS oracle: completion must land exactly on the diameter, and every
+message must match its hop-set product (inclusive sets for the full
+variant, whose message is its table, exclusive sets for the incremental
+one).
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import graph as graphmod
@@ -77,36 +76,39 @@ def check_diameter_completion(result: Rounds) -> CheckVerdict:
 
 
 def check_hop_equations(result: Rounds) -> CheckVerdict:
-    """Every recorded message must equal the hop-set product from the BFS
-    oracle: inclusive sets for the full variant, exclusive for incremental
-    (whose sets empty out past each node's eccentricity, giving message 1).
+    """Every recorded message must equal its hop-set product from the BFS
+    oracle.  Agent i's ring d is the product of p**v over the agents
+    exactly d hops from i, and 1 past i's eccentricity.  At round k the
+    incremental variant sends ring k (the exclusive k-hop set) and the full
+    variant sends the product of rings 0..k (the inclusive set), kept as a
+    running product that each round multiplies by its ring.
 
     Reads the stream from round 0: raises ValueError if it was already
     consumed, in whole or in part, as the rounds it missed are unchecked."""
     require_closed_lossless(result.config, "check_hop_equations")
     topology = result.initial_topology
     primes, values = result.agent_primes, result.agent_values
-    pair_of = {i: (primes[i], values[i]) for i in topology.nodes}
     incremental = result.config.variant is Variant.INCREMENTAL
-    # Each agent's nodes by hop distance, once: the ring at hop d is
-    # order[i][start[i][d]:start[i][d + 1]], and hops 0..d are a prefix.
-    order, start = {}, {}
+    # The BFS lists nodes by non-decreasing distance, so each agent's rings
+    # are built in one pass.
+    rings: dict[int, list[int]] = {}
     for i in topology.nodes:
-        distances = graphmod.bfs_distances(topology, i)
-        order[i] = sorted(distances, key=distances.get)
-        hops = [distances[j] for j in order[i]]
-        start[i] = [bisect_left(hops, d) for d in range(hops[-1] + 2)]
+        ring = rings[i] = []
+        for j, d in graphmod.bfs_distances(topology, i).items():
+            if d == len(ring):
+                ring.append(1)
+            ring[d] *= primes[j] ** values[j]
+    running = dict.fromkeys(topology.nodes, 1)
     count = 0
     for trace in result:
         k = trace.round_index
+        if count == 0 and k != 0:
+            break  # consumed in part: the running products start at round 0
         count += len(trace.messages)
         for agent, message in trace.messages.items():
-            bounds = start[agent]
-            last = len(bounds) - 1
-            lo = bounds[min(k, last)] if incremental else 0
-            members = order[agent][lo:bounds[min(k + 1, last)]]
-            expected = encode((pair_of[j] for j in members),
-                              max_exponent=result.config.max_value + 1)
+            expected = rings[agent][k] if k < len(rings[agent]) else 1
+            if not incremental:
+                expected = running[agent] = running[agent] * expected
             if message != expected:
                 return CheckVerdict(
                     "hop_equations", False,

@@ -11,7 +11,8 @@ from primetime.analysis import (CheckVerdict, ceil_log2, check_hop_equations,
                                 tabular_bits, write_size_report_csv,
                                 write_verdicts_json)
 from primetime.errors import ConfigError
-from primetime.primes import first_primes
+from primetime.graph import hop_sets
+from primetime.primes import encode, first_primes
 from primetime.protocol import Variant
 from primetime.sim import SimConfig, TopologySpec, iter_rounds, run
 
@@ -81,6 +82,44 @@ def test_check_hop_equations_catches_corruption():
     verdict = check_hop_equations(result)
     assert not verdict.passed
     assert verdict.counterexample["agent"] == 2
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("spec, seed", [
+    (TopologySpec(family="path", n=1), 0),
+    (TopologySpec(family="path", n=6), 1),
+    (TopologySpec(family="cycle", n=7), 2),
+    (TopologySpec(family="star", n=5), 3),
+    (TopologySpec(family="complete", n=4), 4),
+    (TopologySpec(family="random_connected", n=9, p=0.3), 5),
+    (TopologySpec(family="random_connected", n=12, p=0.2), 6),
+], ids=["path1", "path6", "cycle7", "star5", "complete4", "random9", "random12"])
+def test_check_hop_equations_matches_the_hop_set_definition(spec, seed, variant):
+    # Every message is rebuilt from graph.hop_sets alone, not taken from the
+    # engine: the inclusive k-hop set for the full variant, the exclusive one
+    # for the incremental variant.
+    cfg = config(topology=spec, variant=variant, seed=seed)
+    result = run(cfg)
+    topology = result.initial_topology
+    pair_of = {i: (result.agent_primes[i], result.agent_values[i]) for i in topology.nodes}
+    side = 1 if variant is Variant.INCREMENTAL else 0
+    for trace in result.traces:
+        # a carried round shares its dict with the round before: replace it
+        trace.messages = {
+            i: encode((pair_of[j] for j in hop_sets(topology, i, trace.round_index)[side]),
+                      max_exponent=cfg.max_value + 1)
+            for i in topology.nodes}
+    verdict = check_hop_equations(result)
+    assert verdict.passed, verdict.detail
+    assert verdict.detail == f"{result.rounds_run * len(topology.nodes)} messages match"
+
+    last = result.traces[-1]
+    agent = max(topology.nodes)
+    last.messages = {**last.messages, agent: 2 * last.messages[agent]}
+    verdict = check_hop_equations(result)
+    assert not verdict.passed
+    assert verdict.counterexample["agent"] == agent
+    assert verdict.counterexample["round"] == last.round_index
 
 
 @pytest.mark.parametrize("consumed", [4, None], ids=["part_way", "drained"])

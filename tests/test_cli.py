@@ -160,6 +160,25 @@ def test_check_command_passes(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_check_exits_1_when_a_verdict_fails(tmp_path, capsys):
+    # max_rounds = 3 stops an 8-node path (diameter 7) before it completes
+    text = (REPO / "configs" / "path8.ini").read_text() + "max_rounds = 3\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts == [
+        {"check": "diameter_completion", "passed": False,
+         "detail": "completion_round None != diameter 7",
+         "counterexample": {"completion_round": None, "diameter": 7}},
+        {"check": "hop_equations", "passed": True, "detail": "24 messages match",
+         "counterexample": None},
+    ]
+    printed = capsys.readouterr().out
+    assert "diameter_completion: FAIL (completion_round None != diameter 7)" in printed
+    assert "hop_equations: pass (24 messages match)" in printed
+
+
 def test_check_rejects_lossy_config(tmp_path, capsys):
     for name, extra in (("loss", "[loss]\nmode = bernoulli\nq = 0.5\n"),
                         ("drops", "[loss]\ndrops = 1:1>2\n"),
