@@ -9,7 +9,7 @@ Subcommands (all but demo drain one `iter_rounds` stream, a round at a time):
   demo          bundled 7-node walkthrough of both variants
 
 Exit codes: 0 success, 2 config error, 3 anomalies under --strict,
-1 unexpected failure.
+1 a failed `check` verdict or an unexpected failure.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 The inclusive k-hop set of a node (everything within distance k, the node
 included) and the exclusive k-hop set (everything at distance exactly k)
-are the oracle against which protocol tables and messages are checked.
+are the oracle against which protocol messages are checked.
 """
 from __future__ import annotations
 

@@ -20,14 +20,13 @@ the pairs learned since the last transmission, kept the same way, which is
 the incremental message; and `relay` is the product of the sentinel powers
 of the goodbyes still to pass on, which either message carries.
 
-A reception merges only the pairs the table does not already hold with
-that value, and how it finds them follows what each variant sends.  A
-full-variant message repeats the sender's whole table, most of which the
-receiver holds, so the shared part g = gcd(message, product) is stripped
-first and, unless a stored prime arrives with a smaller exponent, only the
-cofactor message // g is decoded.  An incremental message is the sender's
-news, sent alike to every neighbour, so it is decoded whole: the decode
-cache then factors each broadcast once for all its receivers, where
+How a reception finds the pairs the table lacks follows what each variant
+sends.  A full-variant message repeats the sender's whole table, most of
+which the receiver holds, so the shared part g = gcd(message, product) is
+stripped first and, unless a stored prime arrives with a smaller exponent,
+only the cofactor message // g is decoded.  An incremental message is the
+sender's news, sent alike to every neighbour, so it is decoded whole: the
+decode cache then factors each broadcast once for all its receivers, where
 per-receiver cofactors would differ and the two gcds with the receiver's
 product would cost about as much as the decode.  Only 17% of the decoded
 pairs are new to the receiver (a 256-node random graph at 20% loss), so
@@ -77,7 +76,9 @@ class AgentState:
     only through it.  `relay` is the product of prime**(M + 1) over the
     goodbyes that go out with the next message, exactly once, and is 1 when
     there are none; `departed` keeps every prime ever removed so late data
-    and duplicate goodbyes are ignored.
+    and duplicate goodbyes are ignored.  `table` and `departed` share no
+    prime: a goodbye pops the pair before it records the prime, data for a
+    recorded prime is never inserted, and the own prime is never recorded.
     """
 
     def __init__(self, agent_id: int, own_prime: int, own_value: int, variant: Variant,
@@ -170,13 +171,12 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     for exactly one relay.  Data for already-departed primes is discarded.
     A rejected message (conflict or codec error) changes nothing.
 
-    Only the pairs the table does not already hold with that value are
-    checked and applied.  Under the full variant they come from `_news`,
-    which decodes only the cofactor the table does not explain; its pairs
-    name no stored prime, so none can conflict and they are applied
-    unchecked.  An incremental message is the sender's news, sent alike to
-    every neighbour, so it is decoded whole and its factorization is cached
-    once for all its receivers; its pairs are listed, checked, then applied.
+    Only the pairs the table lacks are checked and applied: those of
+    `_news`, which name no stored prime and are applied unchecked, or else
+    the whole message's pairs less those the table holds with that value,
+    all checked before any is applied.  So a data pair for a stored prime
+    conflicts, and any other is inserted unless its prime departed, since
+    a departed prime is never stored.
 
     Returns human-readable anomaly notes for the conditions the protocol
     tolerates but cannot explain (goodbye for a prime never stored, goodbye
@@ -189,23 +189,19 @@ def receive_message(state: AgentState, message: int) -> list[str]:
     pairs = (_news(state, message, max_exponent)
              if state.variant is _PRIMETIME else None)
     if pairs is None:
-        # decode yields its pairs in ascending prime order, as they are checked;
-        # `_news` names no stored prime, so only these pairs can conflict.
+        # decode yields its pairs in ascending prime order, as they are checked.
         decoded = decode(message, max_exponent)
         pairs = list(filterfalse(state.table.items().__contains__,
                                  zip(decoded.primes, decoded.exponents)))
         for prime, exponent in pairs:
-            if exponent <= state.max_value and prime not in state.departed:
-                stored = state.table.get(prime)
-                if stored is not None and stored != exponent:
-                    raise ProtocolError(
-                        f"conflicting value for prime {prime}: stored {stored}, received {exponent}"
-                    )
+            if exponent <= state.max_value and prime in state.table:
+                raise ProtocolError(f"conflicting value for prime {prime}: "
+                                    f"stored {state.table[prime]}, received {exponent}")
     anomalies: list[str] = []
     gained = lost = 1
     for prime, exponent in pairs:
         if exponent <= state.max_value:
-            if prime not in state.departed and prime not in state.table:
+            if prime not in state.departed:
                 state.table[prime] = exponent
                 gained *= prime**exponent
         else:

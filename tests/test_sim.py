@@ -318,6 +318,23 @@ def test_join_floods_to_everyone():
             assert new_pair in target.tables[agent].items()
 
 
+@pytest.mark.parametrize("variant", [
+    Variant.PRIMETIME,
+    pytest.param(Variant.INCREMENTAL, marks=pytest.mark.xfail(
+        strict=True, reason="an incremental joiner admitted after steady state never "
+                            "learns the settled pairs; ROADMAP item 2 starts it from "
+                            "its sponsor's table")),
+])
+def test_a_join_after_steady_state_settles_with_every_pair(variant):
+    # The full variant stops after 17 rounds.  Under the incremental variant
+    # the settled agents send 1 by round 10, so the joiner hears no settled
+    # pair, ends with only its own, and the run goes on to max_rounds (28).
+    result = run(config(topology=TopologySpec(family="cycle", n=6), variant=variant,
+                        events=(JoinEvent(10, 7, (1,), 2),)))
+    assert result.rounds_run < 4 * result.diameter + 16
+    assert len(result.traces[-1].tables[7]) == 7
+
+
 def test_leave_removes_pair_everywhere():
     spec = TopologySpec(family="cycle", n=6)
     for variant in Variant:
