@@ -80,8 +80,8 @@ def _finish(anomaly_count: int, args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    rounds = iter_rounds(cfg)  # checks the whole event schedule: a bad one makes no file
     os.makedirs(args.out, exist_ok=True)
-    rounds = iter_rounds(cfg)
     write_trace_csv(rounds, os.path.join(args.out, "trace.csv"))
     write_summary(rounds, os.path.join(args.out, "summary.txt"))
     sys.stdout.write(summary_text(rounds))
@@ -141,8 +141,8 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load(args)
     require_closed_lossless(cfg, "check")
-    os.makedirs(args.out, exist_ok=True)
     rounds = iter_rounds(cfg)
+    os.makedirs(args.out, exist_ok=True)
     hop = check_hop_equations(rounds)
     verdicts = [check_diameter_completion(rounds), hop]
     write_verdicts_json(verdicts, os.path.join(args.out, "verdicts.json"))
@@ -155,8 +155,8 @@ def cmd_check(args) -> int:
 
 def cmd_compare_size(args) -> int:
     cfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     rounds = iter_rounds(cfg)
+    os.makedirs(args.out, exist_ok=True)
     write_size_report_csv(rounds, os.path.join(args.out, "size_report.csv"))
     return _finish(rounds.anomaly_count, args)
 

@@ -105,21 +105,24 @@ def encode(pairs: Iterable[tuple[int, int]], max_exponent: int) -> int:
 # The factorizer screens the residue a block of consecutive cap primes at a
 # time: one gcd with the block's product says which of them divide it, so
 # only those are tried (D. J. Bernstein, *How to find smooth parts of
-# integers*, 2004).  Blocks are built on first use.
+# integers*, 2004).  A gcd that is itself one of the block's primes, a set
+# lookup, is the only one they share, so that block needs no walk.  Blocks
+# are built on first use.
 _BLOCK = 64
 _BLOCKS = -(-PRIME_CAP // _BLOCK)
-_blocks: list[tuple[int, list[int]]] = []  # (product, primes), in prime order
+# (product, primes, the same primes as a set), in prime order
+_blocks: list[tuple[int, list[int], frozenset[int]]] = []
 
 
-def _block(b: int) -> tuple[int, list[int]]:
-    """The b-th block of cap primes and their product."""
+def _block(b: int) -> tuple[int, list[int], frozenset[int]]:
+    """The b-th block of cap primes, their product and their set."""
     while len(_blocks) <= b:
         start = len(_blocks) * _BLOCK
         end = min(start + _BLOCK, PRIME_CAP)
         if end > len(_primes):
             _extend_primes(end)
         primes = _primes[start:end]
-        _blocks.append((prod(primes), primes))
+        _blocks.append((prod(primes), primes, frozenset(primes)))
     return _blocks[b]
 
 
@@ -202,7 +205,7 @@ def _factorize(message: int, max_exponent: int) -> Factorization:
     for b in range(_BLOCKS):
         if residue == 1:
             break
-        product, primes = _block(b)
+        product, primes, members = _block(b)
         level = gcd(residue, product)
         if level == 1:
             continue
@@ -213,6 +216,14 @@ def _factorize(message: int, max_exponent: int) -> Factorization:
             residue //= level
             level = gcd(residue, level)
         shared = levels[0]
+        if shared in members:  # a single hit: every level is that prime
+            exponent = len(levels)
+            if level > 1:
+                residue, rest = _strip(residue, shared)
+                exponent += rest
+            found.append(shared)
+            exponents.append(exponent)
+            continue
         for p in primes:
             if shared % p:
                 continue

@@ -9,18 +9,22 @@ running product, its encoding, so an unchanged table costs no copy.
 
 The engine is one generator loop over four phases, module-level functions
 that it calls through their module globals: `enter` applies the round's
-join or checks its leave, `snapshot` records the tables and forms the
-messages, `merge` merges what `apply_loss` delivered, and `retire` removes
-the leaver.  `iter_rounds` yields each round's trace as the round ends and
-keeps none, so a consumer that writes rows and keeps totals holds one round
-at a time; `run` drains the stream and keeps its rounds, which iterating it
-then replays.
+join, `snapshot` records the tables and forms the messages, `merge` merges
+what `apply_loss` delivered, and `retire` removes the leaver.  `Rounds`
+checks every event against the agents present at its round before round
+0, so a bad schedule fails before the first round.  `iter_rounds` yields
+each round's trace as the round ends and keeps none, so a consumer that
+writes rows and keeps totals holds one round at a time; `run` drains the
+stream and keeps its rounds, which iterating it then replays.
 
 A round costs only what changed.  `merge` skips a delivery that equals the
 receiver's product, a stateless comparison, and after a quiet round the
 loop carries its snapshot instead of calling `snapshot`, its one memo.
-Each no-op argument is in the docstring of its phase.  The tests check
-the loop against a naive reading of it, with no skip and no carry, in
+Each no-op argument is in the docstring of its phase.  A quiet round under
+loss merges nothing, so it makes no loss draw either: it owes its draws
+(see `OwedDraws`), and its `delivered` is replayed on first read.  The
+tests check the loop against a naive reading of it, with no skip, no carry
+and every draw made as its round comes, in
 `tests/test_protocol_reference.py`.
 
 Runs are deterministic: a fixed config (including seed) reproduces the
@@ -29,10 +33,10 @@ trace byte for byte.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from operator import itemgetter
-from typing import Iterator, NamedTuple, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterator, NamedTuple, Union
 
 from . import graph as graphmod
 from .errors import CodecError, ConfigError, GraphError, ProtocolError
@@ -134,17 +138,20 @@ class RoundTrace:
 
     `edges` is every directed edge of the round's topology, the tuple the
     topology keeps, and `delivered` the ones that got through in the same
-    order; `dropped` is the rest, derived on first use.  The phases `enter`,
-    `merge` and `retire` log `anomalies`.  A carried round, one after a
-    quiet round with no event of its own (see `snapshot`), shares that
-    round's `products`, `table_sizes` and `messages` objects, so a consumer
-    must not change them.
+    order; `dropped` is the rest, derived on first use.  A quiet round
+    under loss owes its loss draws, and its `delivered` is replayed from
+    them on first read, the list an eager draw would have made.  The
+    phases `enter`, `merge` and `retire` log `anomalies`.  A carried round,
+    one after a quiet round with no event of its own (see `snapshot`),
+    shares that round's `products`, `table_sizes` and `messages` objects, so
+    a consumer must not change them.
     """
 
     def __init__(self, round_index: int, products: dict[int, int],
                  table_sizes: dict[int, int], complete: bool, max_value: int,
                  messages: dict[int, int], edges: tuple[tuple[int, int], ...],
-                 delivered: list[tuple[int, int]], anomalies: list[str] | None = None):
+                 delivered: list[tuple[int, int]] | Callable[[], list[tuple[int, int]]],
+                 anomalies: list[str] | None = None):
         self.round_index = round_index
         self.products = products  # start-of-round table encodings, present agents only
         self.table_sizes = table_sizes
@@ -152,8 +159,17 @@ class RoundTrace:
         self.max_value = max_value
         self.messages = messages
         self.edges = edges
-        self.delivered = delivered
+        if callable(delivered):
+            self._replay = delivered
+        else:
+            self.delivered = delivered
         self.anomalies = [] if anomalies is None else anomalies
+
+    @cached_property
+    def delivered(self) -> list[tuple[int, int]]:
+        """Directed edges that got through, replayed on first read from the
+        loss draws a quiet round owed (see `OwedDraws`)."""
+        return self._replay()
 
     @cached_property
     def dropped(self) -> list[tuple[int, int]]:
@@ -186,17 +202,90 @@ def apply_loss(edges: list[tuple[int, int]], q: float,
     return [e for e in edges if draw() >= q]
 
 
+def skip_draws(rng: random.Random, count: int) -> None:
+    """Advance `rng` past `count` calls to `random()` with one call.
+
+    CPython's `random()` takes two 32-bit outputs of the Mersenne Twister,
+    and `getrandbits(64 * count)` takes 2 * count of them, so both leave
+    the generator in the same state; `tests/test_sim.py` pins this.
+    """
+    rng.getrandbits(64 * count)
+
+
+class OwedDraws:
+    """The loss draws of a quiet stretch, the consecutive quiet rounds
+    under loss, which the engine owes instead of making.
+
+    A quiet round merges nothing, so its `delivered` is not needed to run
+    on.  The stretch saves the loss generator's state before its first
+    round and counts the draws its rounds owe; the engine pays them all
+    with one `skip_draws` before the next round that draws.  A round's
+    `delivered` is replayed on first read, by `apply_loss` from the saved
+    state, past the draws of the stretch's earlier rounds.  One cursor
+    resumes where the last replay ended, so reading every round in order
+    draws once; any other read restores the state and skips to the round.
+    """
+
+    def __init__(self, state: tuple, q: float):
+        self.state = state
+        self.q = q
+        self.owed = 0
+        self.cursor: random.Random | None = None
+        self.position = 0  # draws the cursor has made since `state`
+
+    def owe(self, candidates: list[tuple[int, int]] | tuple[tuple[int, int], ...]
+            ) -> Callable[[], list[tuple[int, int]]]:
+        """Owe a round's draws, one per candidate, and return its replay."""
+        replay = partial(self.replay, self.owed, candidates)
+        self.owed += len(candidates)
+        return replay
+
+    # Bound here, not looked up in the module as the engine's phases are,
+    # so that a wrapper around the `apply_loss` phase sees only the draws
+    # the engine makes.
+    def replay(self, offset: int, candidates, draw=apply_loss) -> list[tuple[int, int]]:
+        cursor = self.cursor
+        if cursor is None or self.position != offset:
+            cursor = self.cursor = random.Random(0)
+            cursor.setstate(self.state)
+            skip_draws(cursor, offset)
+        self.position = offset + len(candidates)
+        return draw(candidates, self.q, cursor)
+
+
+def check_events(events: tuple[Event, ...], nodes: tuple[int, ...], max_rounds: int) -> None:
+    """Check each event of a round below `max_rounds` against the agents
+    present at its round, starting from `nodes`: a join must add an absent
+    agent and attach it to present ones, and a leave must remove a present
+    agent other than the last.  Membership changes only through events, so
+    this settles before round 0 what each round would find."""
+    present = set(nodes)
+    for event in sorted(events, key=attrgetter("round_index")):
+        k = event.round_index
+        if k >= max_rounds:
+            break
+        if isinstance(event, JoinEvent):
+            if event.node in present:
+                raise ConfigError(f"events: join of present agent {event.node} at round {k}")
+            absent = next((a for a in event.attach_to if a not in present), None)
+            if absent is not None:
+                raise ConfigError(f"events: join of agent {event.node} at round {k} "
+                                  f"attaches to absent agent {absent}")
+            present.add(event.node)
+        else:
+            if event.node not in present:
+                raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
+            if present == {event.node}:
+                raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
+            present.remove(event.node)
+
+
 def enter(k: int, event: Event | None, topology: Topology, agents: dict[int, AgentState],
           anomalies: list[str]) -> Topology:
-    """Apply round k's join, or check its leave, and return the round's
-    topology.  The leaver goes in `snapshot` and `retire`."""
+    """Apply round k's join, if any, and return the round's topology.  A
+    leaver goes in `snapshot` and `retire`; `check_events` has checked both
+    against the round's agents."""
     if isinstance(event, JoinEvent):
-        if event.node in topology.nodes:
-            raise ConfigError(f"events: join of present agent {event.node} at round {k}")
-        absent = next((a for a in event.attach_to if a not in topology.nodes), None)
-        if absent is not None:
-            raise ConfigError(f"events: join of agent {event.node} at round {k} "
-                              f"attaches to absent agent {absent}")
         topology = topology.with_node_added(event.node, event.attach_to)
         state = join(event.node, agents[min(event.attach_to)], event.value)
         # A sponsor whose table is incomplete can offer a prime in use.
@@ -206,11 +295,6 @@ def enter(k: int, event: Event | None, topology: Topology, agents: dict[int, Age
             anomalies.append(f"round {k}: agent {event.node} joined with prime "
                              f"{state.own_prime}, already held by agent {holder}")
         agents[event.node] = state
-    elif isinstance(event, LeaveEvent):
-        if event.node not in topology.nodes:
-            raise ConfigError(f"events: leave of absent agent {event.node} at round {k}")
-        if topology.nodes == (event.node,):
-            raise ConfigError(f"events: leave of the last agent {event.node} at round {k}")
     return topology
 
 
@@ -325,6 +409,9 @@ class Rounds:
             self._agents[node] = AgentState(agent_id=node, own_prime=nth_prime(index),
                                             own_value=value, variant=cfg.variant,
                                             max_value=cfg.max_value)
+        self._max_rounds = (cfg.max_rounds if cfg.max_rounds is not None
+                            else 4 * self.diameter + 16)
+        check_events(cfg.events, nodes, self._max_rounds)
 
         self.rounds_run = 0
         self.completion_round: int | None = None
@@ -346,14 +433,13 @@ class Rounds:
 
     def _run(self) -> Iterator[RoundTrace]:
         """The round loop: `enter`, `snapshot` unless the round is carried,
-        delivery under forced drops and loss, `merge` unless the snapshot is
-        quiet, and `retire` on a leave.  The run settles at the first round
-        s >= 1 past the last event whose snapshot is complete with no
-        goodbye relay pending; it stops after round s + extra_rounds - 1, or
-        at max_rounds."""
+        delivery under forced drops and loss (owed, see `OwedDraws`, when the
+        snapshot is quiet), `merge` unless it is quiet, and `retire` on a
+        leave.  The run settles at the first round s >= 1 past the last
+        event whose snapshot is complete with no goodbye relay pending; it
+        stops after round s + extra_rounds - 1, or at max_rounds."""
         cfg = self.config
         agents = self._agents
-        max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * self.diameter + 16
         loss_rng = random.Random(f"{cfg.seed}:loss")
         full = cfg.variant is Variant.PRIMETIME
 
@@ -364,8 +450,9 @@ class Rounds:
             forced_drops.setdefault(r, set()).add((src, dst))
 
         quiet = False  # whether the last snapshot was quiet, see `snapshot`
+        stretch: OwedDraws | None = None  # the quiet stretch under loss, if in one
         last_round: int | None = None
-        for k in range(max_rounds):
+        for k in range(self._max_rounds):
             anomalies: list[str] = []
             event = events_by_round.get(k)
             leaving = event.node if isinstance(event, LeaveEvent) else None
@@ -379,8 +466,17 @@ class Rounds:
             directed = self.topology.directed_edges
             forced = forced_drops.get(k)
             candidates = [e for e in directed if e not in forced] if forced else directed
+            if quiet and cfg.loss_q:
+                if stretch is None:
+                    stretch = OwedDraws(loss_rng.getstate(), cfg.loss_q)
+                delivered = stretch.owe(candidates)
+            else:
+                if stretch is not None:
+                    skip_draws(loss_rng, stretch.owed)
+                    stretch = None
+                delivered = apply_loss(candidates, cfg.loss_q, loss_rng)
             trace = RoundTrace(k, products, table_sizes, complete, cfg.max_value, messages,
-                               directed, apply_loss(candidates, cfg.loss_q, loss_rng), anomalies)
+                               directed, delivered, anomalies)
             if not quiet:
                 merge(trace, agents)
             if leaving is not None:

@@ -444,15 +444,16 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(f"error: [Errno 17] File exists: '{out}'")
 
 
-def test_run_that_fails_part_way_keeps_the_rows_so_far(tmp_path):
-    cfg = write_config(tmp_path, BASIC + "\n[events]\nschedule =\n    3 leave 9\n")
+@pytest.mark.parametrize("command", ["run", "compare-size"])
+def test_bad_event_schedule_leaves_no_output(tmp_path, capsys, command):
+    # Checked as each round came, this schedule failed at round 6 and left
+    # a 31-line trace.csv and a 29-line size_report.csv behind.
+    cfg = write_config(tmp_path, "[topology]\nfamily = path\nn = 5\n\n"
+                       "[events]\nschedule =\n    3 leave 2\n    6 leave 2\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "round,agent,prime,message_decimal,message_bits,table_size,active"
-    assert [line.split(",")[:2] for line in lines[1:]] == [
-        [str(k), str(agent)] for k in range(3) for agent in range(1, 5)]
-    assert not (out / "summary.txt").exists()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: events: leave of absent agent 2 at round 6\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("schedule, message", [

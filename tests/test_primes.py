@@ -244,6 +244,14 @@ def protocol_messages(draw):
 @example((311**17 * 313**16, 33))
 @example((311**33 * 313**15 * 317**2, 33))
 @example((311**3 * 313**33 * 1_000_003, 9))
+# A block that shares one prime, which is taken without walking the block:
+# at exponents 16, 17 and 33, as a block's first or last prime, past the
+# first block, and past the bound.
+@example((2**16, 33))
+@example((311**17, 33))
+@example((2**33 * 313**17, 33))
+@example((313**16 * 104_729**33 * 1_000_003, 33))
+@example((311**33 * 104_729**17, 9))
 def test_decode_matches_trial_division(case):
     message, bound = case
     expected = codec_outcome(trial_division_decode, message, bound)

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import random
 import sys
 import tracemalloc
@@ -287,6 +286,99 @@ def test_apply_loss_empirical_rate():
     assert abs(drop_rate - 0.3) < 0.02
 
 
+@pytest.mark.parametrize("seed", [0, 1, "3:loss"])
+@pytest.mark.parametrize("n", [0, 1, 2371])
+def test_getrandbits_advances_the_generator_as_random_calls_do(seed, n):
+    # A quiet stretch pays its owed loss draws this way (`sim.skip_draws`):
+    # `random()` takes two 32-bit outputs, `getrandbits(64 * n)` takes 2n.
+    drawn, skipped = random.Random(seed), random.Random(seed)
+    for _ in range(n):
+        drawn.random()
+    skipped.getrandbits(64 * n)
+    assert skipped.getstate() == drawn.getstate()
+
+
+CHURN_CYCLE = dict(topology=TopologySpec(family="cycle", n=10),
+                   data_values=(1, 2, 3, 4, 1, 2, 3, 4, 1, 2),
+                   events=(JoinEvent(12, 11, (3,), 2), LeaveEvent(24, 8)), loss_q=0.2,
+                   max_rounds=60)
+# `lossy_incr` of the benchmark at small scale: agent 1 starved for six rounds
+SMALL_LOSSY_INCR = dict(topology=TopologySpec(family="random_connected", n=32, p=0.15),
+                        variant=Variant.INCREMENTAL, loss_q=0.3,
+                        drop_schedule=tuple((r, j, 1) for r in range(6) for j in range(2, 33)),
+                        max_rounds=30, extra_rounds=30)
+OWING = {
+    "churn_cycle_full": config(**CHURN_CYCLE),
+    "churn_cycle_incremental": config(variant=Variant.INCREMENTAL, **CHURN_CYCLE),
+    "small_lossy_incr": config(**SMALL_LOSSY_INCR),
+}
+
+
+def owing_rounds(traces):
+    """The rounds whose `delivered` is still owed, not yet replayed."""
+    return [t.round_index for t in traces if "delivered" not in vars(t)]
+
+
+def eager_deliveries(cfg, traces):
+    """Each round's deliveries drawn as the rounds come, with no draw owed."""
+    rng = random.Random(f"{cfg.seed}:loss")
+    forced = set(cfg.drop_schedule)
+    return [apply_loss([e for e in t.edges if (t.round_index, *e) not in forced],
+                       cfg.loss_q, rng) for t in traces]
+
+
+@pytest.mark.parametrize("name", OWING)
+def test_owed_loss_draws_replay_the_eager_deliveries(name):
+    cfg = OWING[name]
+    result = run(cfg)
+    owed = owing_rounds(result.traces)
+    # quiet stretches that end at the join, at the leave and with the run
+    ends = {k + 1 for k in owed} - set(owed)
+    expected_ends = {e.round_index for e in cfg.events} | {result.rounds_run}
+    assert ends >= expected_ends, (owed, expected_ends)
+    eager = eager_deliveries(cfg, result.traces)
+    expected = [(d, [e for e in t.edges if e not in d]) for t, d in zip(result.traces, eager)]
+
+    forwards = [(t.delivered, t.dropped) for t in iter_rounds(cfg)]  # as the stream runs
+    backwards = [(t.delivered, t.dropped) for t in reversed(run(cfg).traces)][::-1]
+    kept = [(t.delivered, t.dropped) for t in result.traces]
+    assert forwards == backwards == kept == expected
+    assert not owing_rounds(result.traces)
+
+
+@pytest.mark.parametrize("name", OWING)
+def test_reading_owed_rounds_in_order_skips_no_draw(monkeypatch, name):
+    # each stretch's cursor starts at its saved state and resumes where the
+    # last replay ended, so no read skips past another round's draws
+    result = run(OWING[name])
+    skipped = []
+    monkeypatch.setattr(sim, "skip_draws", lambda rng, count: skipped.append(count))
+    for trace in result.traces:
+        trace.delivered
+    assert skipped and not any(skipped)
+
+
+@pytest.mark.parametrize("name", OWING)
+def test_the_engine_draws_only_in_rounds_that_merge(monkeypatch, name):
+    phases = []
+
+    def spy(phase, fn):
+        def called(*args):
+            phases.append(phase)
+            return fn(*args)
+        return called
+
+    monkeypatch.setattr(sim, "apply_loss", spy("loss", sim.apply_loss))
+    monkeypatch.setattr(sim, "merge", spy("merge", sim.merge))
+    result = run(OWING[name])
+    merges = phases.count("merge")
+    assert phases == ["loss", "merge"] * merges
+    assert merges + len(owing_rounds(result.traces)) == result.rounds_run
+    for trace in result.traces:
+        trace.dropped  # replays draw outside the phase
+    assert len(phases) == 2 * merges
+
+
 def test_forced_drop_starves_incremental_but_not_primetime():
     # one lost relay kills the incremental variant on a path: pairs travel once
     base = dict(topology=TopologySpec(family="path", n=3),
@@ -410,11 +502,18 @@ def test_event_validation():
     (JoinEvent(2, 9, (1, 77), 1), "events: join of agent 9 at round 2 attaches to absent agent 77"),
 ])
 def test_bad_join_is_a_config_error_at_its_round(event, message):
-    rounds = iter(iter_rounds(config(events=(event,))))
-    assert [t.round_index for t in itertools.islice(rounds, 2)] == [0, 1]
+    # named by its round, and raised before round 0
     with pytest.raises(ConfigError) as raised:
-        next(rounds)
+        iter_rounds(config(events=(event,)))
     assert str(raised.value) == message
+
+
+def test_events_the_run_never_reaches_are_not_checked():
+    # a leave of an absent agent at round 8, one past the last round
+    events = (LeaveEvent(2, 3), LeaveEvent(8, 3))
+    with pytest.raises(ConfigError, match="leave of absent agent 3 at round 8"):
+        iter_rounds(config(events=events, max_rounds=9))
+    assert run(config(events=events, max_rounds=8)).rounds_run == 8
 
 
 def test_explicit_values_validated():
