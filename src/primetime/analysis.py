@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import graph as graphmod
@@ -127,25 +126,35 @@ class GrowthRow(NamedTuple):
     n: int
     message_bits: int
     exceeds_factorial: bool | None  # value-level primorial vs n!, only meaningful at M=1
+    tabular_bits: int  # the table of the same n pairs, with n_max = n
 
 
 def steady_state_growth(n_values: Sequence[int], max_value: int) -> list[GrowthRow]:
-    """Steady-state full-variant message sizes: all n primes raised to M.
+    """Steady-state full-variant message sizes for each n >= 1 of `n_values`:
+    all n primes raised to M, beside the table of the same n pairs.  One
+    running product, and one running factorial, serve every n.
 
     At M = 1 the message value is the primorial, which is compared against
     n! to back the factorial-growth claim at the value level.
     """
-    rows = []
-    for n in n_values:
-        primes = first_primes(n)
-        message = 1
-        for p in primes:
-            message *= p**max_value
-        exceeds = None
-        if max_value == 1:
-            exceeds = message > math.factorial(n)
-        rows.append(GrowthRow(n=n, message_bits=message.bit_length(), exceeds_factorial=exceeds))
-    return rows
+    wanted, rows = set(n_values), {}
+    message = factorial = 1
+    for n, p in enumerate(first_primes(max(wanted, default=0)), 1):
+        message *= p**max_value
+        factorial *= n
+        if n in wanted:
+            rows[n] = GrowthRow(n, message.bit_length(),
+                                message > factorial if max_value == 1 else None,
+                                tabular_bits(n, n, max_value))
+    return [rows[n] for n in n_values]
+
+
+def steady_state_crossover(max_value: int, n_limit: int) -> int | None:
+    """The first n <= n_limit at which the steady-state product is longer
+    than the table of the same n pairs, or None.  Past it the product can
+    still win again (at M = 2 it loses at n = 8 and wins at n = 9)."""
+    return next((row.n for row in steady_state_growth(range(1, n_limit + 1), max_value)
+                 if row.message_bits > row.tabular_bits), None)
 
 
 SIZE_REPORT_COLUMNS = ("n", "M", "round", "agent", "primetime_bits", "tabular_bits")
@@ -165,7 +174,7 @@ def size_report_rows(result: Rounds) -> Iterator[tuple]:
     cfg = result.config
     traces = with_final_primes(result)
     agents = len(result.agent_primes)
-    n_max = cfg.n_max if cfg.n_max is not None else agents
+    n_max = cfg.n_max or agents  # validated >= 1
     if n_max < agents:
         raise ConfigError(f"analysis.n_max: {n_max} is below the {agents} agents of the run")
 
@@ -187,12 +196,32 @@ def size_report_rows(result: Rounds) -> Iterator[tuple]:
     return rows()
 
 
-def write_size_report_csv(result: Rounds, path) -> None:
+SIZE_SUMMARY_COLUMNS = ("n", "M", "n_max", "primetime_bits", "tabular_bits", "transmissions",
+                        "primetime_wins", "nonempty_transmissions", "nonempty_wins", "crossover")
+
+
+def write_size_report_csv(result: Rounds, path) -> tuple:
+    """Write the run's size report to `path` and return its summary row
+    (SIZE_SUMMARY_COLUMNS), totalled over the rows as they are written.
+
+    A win is a transmission whose product is shorter than its table; a
+    non-empty one carries a pair or a goodbye (its message is not 1).  The
+    crossover is `steady_state_crossover` for the run's M up to its agent
+    count, or "never"."""
     rows = size_report_rows(result)  # a config error leaves no file
+    totals = [0] * 6
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SIZE_REPORT_COLUMNS)
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)
+            bits, table = row[4:]
+            for i, add in enumerate((bits, table, 1, bits < table, bits > 1, 1 < bits < table)):
+                totals[i] += add
+    cfg, agents = result.config, len(result.agent_primes)
+    crossover = steady_state_crossover(cfg.max_value, agents)
+    return (len(result.initial_topology.nodes), cfg.max_value, cfg.n_max or agents, *totals,
+            "never" if crossover is None else crossover)
 
 
 def write_verdicts_json(verdicts: Sequence[CheckVerdict], path) -> None:

@@ -5,7 +5,8 @@ Subcommands (all but demo drain one `iter_rounds` stream, a round at a time):
   sweep         run a parameter grid, write sweep.csv
   check         run and verify the diameter-exact completion and hop-set
                 message characterizations, write verdicts.json
-  compare-size  run and write the product-vs-tabular size report CSV
+  compare-size  run and write the product-vs-tabular size report CSV and its
+                one-row summary
   demo          bundled 7-node walkthrough of both variants
 
 Exit codes: 0 success, 2 config error, 3 anomalies under --strict,
@@ -18,9 +19,9 @@ import csv
 import os
 import sys
 
-from .analysis import (check_hop_equations, check_diameter_completion,
-                       require_closed_lossless, write_size_report_csv,
-                       write_verdicts_json)
+from .analysis import (SIZE_SUMMARY_COLUMNS, check_hop_equations,
+                       check_diameter_completion, require_closed_lossless,
+                       write_size_report_csv, write_verdicts_json)
 from .config import load_config, load_sweep
 from .errors import ConfigError, PrimeTimeError
 from .graph import Topology, diameter
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--verbose", action="store_true",
                        help="print each grid point's completion round or error")
     add_common(sub.add_parser("check", help="run and verify completion/message oracles"))
-    add_common(sub.add_parser("compare-size", help="run and write the size report"))
+    add_common(sub.add_parser("compare-size", help="run and write the size report and its summary"))
     sub.add_parser("demo", help="print a round-by-round walkthrough")
     return parser
 
@@ -157,7 +158,9 @@ def cmd_compare_size(args) -> int:
     cfg = _load(args)
     rounds = iter_rounds(cfg)
     os.makedirs(args.out, exist_ok=True)
-    write_size_report_csv(rounds, os.path.join(args.out, "size_report.csv"))
+    summary = write_size_report_csv(rounds, os.path.join(args.out, "size_report.csv"))
+    with open(os.path.join(args.out, "size_summary.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows((SIZE_SUMMARY_COLUMNS, summary))
     return _finish(rounds.anomaly_count, args)
 
 

@@ -32,7 +32,9 @@ def _fail(field: str, message: str):
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No section header can be empty, so [DEFAULT] reads as an ordinary,
+    # unknown section instead of lending its keys to every other one.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     parser.optionxform = str  # keep key case as written
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -224,9 +226,22 @@ def _int_list(raw: str, field: str) -> tuple[int, ...]:
             out.append(int(token))
         except ValueError:
             _fail(field, f"expected integers, got {token!r}")
-    if not out:
-        _fail(field, "needs at least one value")
     return tuple(out)
+
+
+def _q_list(raw: str, field: str) -> tuple[float, ...]:
+    try:
+        qs = tuple(float(tok) for tok in raw.split())
+    except ValueError:
+        _fail(field, f"expected numbers, got {raw!r}")
+    for q in qs:
+        if not 0 <= q < 1:
+            _fail(field, f"must be in [0, 1), got {q}")
+    return qs
+
+
+def _variant_list(raw: str, field: str) -> tuple[Variant, ...]:
+    return tuple(_parse_variant(tok, field) for tok in raw.split())
 
 
 def load_sweep(path) -> tuple[SimConfig, SweepGrid]:
@@ -239,29 +254,20 @@ def load_sweep(path) -> tuple[SimConfig, SweepGrid]:
     if base.topology.family is None:
         _fail("sweep", "sweeping requires a family topology, not edge_file")
 
-    def fallback_int(key: str, value: int) -> tuple[int, ...]:
+    def values(key: str, parse, default) -> tuple:
         raw = parser.get("sweep", key, fallback=None)
-        return _int_list(raw, f"sweep.{key}") if raw is not None else (value,)
+        if raw is None:
+            return (default,)
+        parsed = parse(raw, f"sweep.{key}")
+        if not parsed:
+            _fail(f"sweep.{key}", "needs at least one value")
+        return parsed
 
-    raw_q = parser.get("sweep", "q", fallback=None)
-    if raw_q is not None:
-        try:
-            qs = tuple(float(tok) for tok in raw_q.split())
-        except ValueError:
-            _fail("sweep.q", f"expected numbers, got {raw_q!r}")
-        for q in qs:
-            if not 0 <= q < 1:
-                _fail("sweep.q", f"must be in [0, 1), got {q}")
-    else:
-        qs = (base.loss_q,)
-    raw_variant = parser.get("sweep", "variant", fallback=None)
-    variants = (tuple(_parse_variant(tok, "sweep.variant") for tok in raw_variant.split())
-                if raw_variant is not None else (base.variant,))
     grid = SweepGrid(
-        n=fallback_int("n", base.topology.n),
-        max_value=fallback_int("max_value", base.max_value),
-        q=qs,
-        variant=variants,
-        seeds=fallback_int("seeds", base.seed),
+        n=values("n", _int_list, base.topology.n),
+        max_value=values("max_value", _int_list, base.max_value),
+        q=values("q", _q_list, base.loss_q),
+        variant=values("variant", _variant_list, base.variant),
+        seeds=values("seeds", _int_list, base.seed),
     )
     return base, grid

@@ -7,9 +7,9 @@ import pytest
 
 from primetime.analysis import (CheckVerdict, ceil_log2, check_hop_equations,
                                 check_diameter_completion, compare_encodings,
-                                size_report_rows, steady_state_growth,
-                                tabular_bits, write_size_report_csv,
-                                write_verdicts_json)
+                                size_report_rows, steady_state_crossover,
+                                steady_state_growth, tabular_bits,
+                                write_size_report_csv, write_verdicts_json)
 from primetime.errors import ConfigError
 from primetime.graph import hop_sets
 from primetime.primes import encode, first_primes
@@ -163,6 +163,37 @@ def test_steady_state_growth_values():
 def test_steady_state_growth_flags_none_when_not_unit_range():
     rows = steady_state_growth([5], max_value=3)
     assert rows[0].exceeds_factorial is None
+
+
+def test_steady_state_growth_matches_a_fresh_product_per_n():
+    # The running product and factorial, taken in any order of n, give the
+    # sizes of the full table built afresh for each n.
+    for m in (1, 2, 8):
+        rows = steady_state_growth([30, 1, 7, 2, 30], max_value=m)
+        assert [row.n for row in rows] == [30, 1, 7, 2, 30]
+        for row in rows:
+            pairs = [(p, m) for p in first_primes(row.n)]
+            assert (row.message_bits, row.tabular_bits) == compare_encodings(
+                pairs, n_max=row.n, max_value=m)
+            primorial = encode(pairs, max_exponent=m + 1)
+            assert row.exceeds_factorial == (primorial > math.factorial(row.n)
+                                             if m == 1 else None)
+
+
+def test_steady_state_crossover():
+    # M = 1: a tie at n = 1, and the product is never longer up to n = 300.
+    [row] = steady_state_growth([1], max_value=1)
+    assert row.message_bits == row.tabular_bits == 2
+    assert steady_state_crossover(1, 300) is None
+    # M = 2: the product loses at n = 8, yet wins again at n = 9, the one
+    # point past the crossover where it does; n = 1 and n = 7 are ties.
+    assert steady_state_crossover(2, 300) == 8
+    assert steady_state_crossover(2, 7) is None
+    rows = steady_state_growth(range(1, 301), max_value=2)
+    assert [r.n for r in rows if r.message_bits < r.tabular_bits] == [2, 3, 4, 5, 6, 9]
+    # M = 3, 4 and 8: the product is longer from n = 1 on.
+    for m in (3, 4, 8):
+        assert steady_state_crossover(m, 300) == 1
 
 
 def test_size_report_round_zero_rows():

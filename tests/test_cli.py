@@ -9,6 +9,7 @@ import typing
 import pytest
 
 from primetime import cli
+from primetime.analysis import steady_state_crossover
 from primetime.cli import DEMO_MAX_VALUE, DEMO_VALUES, build_parser, demo, main
 from primetime.primes import encode, first_primes
 
@@ -215,12 +216,39 @@ def test_n_max_below_the_agent_count_exits_2(tmp_path, capsys):
         "config error: analysis.n_max: 2 is below the 8 agents of the run\n")
 
 
+@pytest.mark.parametrize("config", ["path8.ini", "churn_cycle10.ini", "lossy_path8.ini"])
+@pytest.mark.parametrize("variant", ["primetime", "incremental"])
+def test_size_summary_adds_up_the_size_report(tmp_path, config, variant):
+    out = tmp_path / "out"
+    assert main(["compare-size", "--config", str(REPO / "configs" / config),
+                 "--variant", variant, "--out", str(out)]) == 0
+    with open(out / "size_report.csv", newline="") as fh:
+        rows = [{k: int(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    with open(out / "size_summary.csv", newline="") as fh:
+        [summary] = list(csv.DictReader(fh))
+    wins = [r for r in rows if r["primetime_bits"] < r["tabular_bits"]]
+    agents = len({r["agent"] for r in rows})
+    crossover = steady_state_crossover(rows[0]["M"], agents)
+    assert summary == {
+        "n": str(rows[0]["n"]), "M": str(rows[0]["M"]),
+        "n_max": str(agents),  # no [analysis] n_max: the agents ever present
+        "primetime_bits": str(sum(r["primetime_bits"] for r in rows)),
+        "tabular_bits": str(sum(r["tabular_bits"] for r in rows)),
+        "transmissions": str(len(rows)),
+        "primetime_wins": str(len(wins)),
+        "nonempty_transmissions": str(sum(r["primetime_bits"] > 1 for r in rows)),
+        "nonempty_wins": str(sum(r["primetime_bits"] > 1 for r in wins)),
+        "crossover": "never" if crossover is None else str(crossover),
+    }
+
+
 def test_n_max_error_leaves_no_size_report(tmp_path):
     cfg = write_config(tmp_path, (REPO / "configs" / "path8.ini").read_text()
                        + "\n[analysis]\nn_max = 2\n")
     out = tmp_path / "out"
     assert main(["compare-size", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "size_report.csv").exists()
+    assert not (out / "size_summary.csv").exists()
 
 
 @pytest.mark.parametrize("n_max, code", [(4, 2), (5, 0)])

@@ -88,8 +88,16 @@ edge_file = g.txt
 
 
 def test_unknown_section_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown section"):
-        load_config(write(tmp_path, MINIMAL + "\n[extras]\nfoo = 1\n"))
+    for text, section in (
+        (MINIMAL + "\n[extras]\nfoo = 1\n", "extras"),
+        # configparser lends [DEFAULT]'s keys to every section: this ran a
+        # 5-path, and a DEFAULT seed failed as topology.seed: unknown key
+        ("[DEFAULT]\nn = 5\n\n[topology]\nfamily = path\n", "DEFAULT"),
+        ("[DEFAULT]\nseed = 5\n" + MINIMAL, "DEFAULT"),
+        (MINIMAL + "\n[DEFAULT]\n", "DEFAULT"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{section}: unknown section$"):
+            load_config(write(tmp_path, text))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -191,3 +199,10 @@ def test_sweep_backwards_range_names_field(tmp_path):
 def test_sweep_requires_section(tmp_path):
     with pytest.raises(ConfigError, match="sweep"):
         load_sweep(write(tmp_path, MINIMAL))
+
+
+@pytest.mark.parametrize("key", ["n", "max_value", "q", "variant", "seeds"])
+def test_sweep_key_without_values_names_field(tmp_path, key):
+    # An empty q or variant made an empty grid: a header-only sweep.csv, exit 0.
+    with pytest.raises(ConfigError, match=f"^sweep.{key}: needs at least one value$"):
+        load_sweep(write(tmp_path, MINIMAL + f"[sweep]\n{key} =\n"))
